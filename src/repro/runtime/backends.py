@@ -53,6 +53,7 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochReport,
     Migration,
+    fast_forward,
 )
 from repro.runtime.fusion import validate_fuse
 from repro.runtime.overload import OverloadConfig, OverloadManager, SendRetryPolicy
@@ -415,7 +416,10 @@ class _InlineRun:
             if rt.is_spout
         }
         if resume is not None:
-            self._fast_forward_spouts()
+            # Advance each source past the tuples of committed epochs.
+            for task_id, iterator in self.spout_iters.items():
+                if fast_forward(iterator, self.spout_produced[task_id]):
+                    self.exhausted.add(task_id)
 
     def _restore(self, checkpoint: EpochCheckpoint) -> None:
         """Rebuild runtime state from a committed checkpoint (recovery)."""
@@ -429,21 +433,6 @@ class _InlineRun:
         self.spout_produced.update(checkpoint.spout_produced)
         self.start_epoch = checkpoint.epoch + 1
         self.last_checkpoint = checkpoint
-
-    def _fast_forward_spouts(self) -> None:
-        """Advance each spout's source past the tuples of committed epochs.
-
-        Sources are deterministic seeded generators, so re-drawing (and
-        discarding) the already-committed prefix replays them to the
-        exact resume position without recording stats or fault ticks.
-        """
-        for task_id, iterator in self.spout_iters.items():
-            for _ in range(self.spout_produced[task_id]):
-                try:
-                    next(iterator)
-                except StopIteration:
-                    self.exhausted.add(task_id)
-                    break
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -702,12 +691,8 @@ class _InlineRun:
                 # fast-forwards to the committed position.
                 self.instances[task_id] = instance
                 iterator = instance.next_batch(self.max_events)
-                for _ in range(self.spout_produced[task_id]):
-                    try:
-                        next(iterator)
-                    except StopIteration:
-                        self.exhausted.add(task_id)
-                        break
+                if fast_forward(iterator, self.spout_produced[task_id]):
+                    self.exhausted.add(task_id)
                 self.spout_iters[task_id] = iterator
         pause_ns = (perf_counter() - started) * 1e9
         report = self.epoch_report

@@ -367,9 +367,10 @@ class ShmRingChannel(ChannelEndpoint):
 
     def connect(self) -> None:
         # The codec — and with it all per-edge dictionary/mirror state —
-        # is built fresh inside the worker process, once per execution
-        # attempt: a Supervisor retry or a new epoch slice reconnects,
-        # resetting producer dictionaries and consumer mirrors together.
+        # is built fresh inside the worker process, once per worker pool:
+        # both ends persist across epoch slices, and a Supervisor retry or
+        # a migration restart reconnects, resetting producer dictionaries
+        # and consumer mirrors together.
         self.codec = BatchCodec(
             self.edge_schemas, string_dict=self.string_dict
         )

@@ -22,16 +22,20 @@ Checkpoints serve two consumers:
   pause-at-barrier migration in the style of Madsen et al. (PAPERS.md).
 
 Everything here is backend-agnostic plain data; the barrier protocols
-themselves live in :mod:`repro.runtime.backends` (inline) and
-:mod:`repro.runtime.process_pool` (one worker pool per epoch slice).
-See docs/reconfiguration.md for the full protocol walk-through.
+themselves live in :mod:`repro.runtime.backends` (inline: one phase per
+epoch over live state) and :mod:`repro.runtime.process_pool` (one live
+worker pool per run, one command per epoch slice).  Both restart from a
+checkpoint only on recovery or a placement-changing migration, and both
+then replay spouts with :func:`fast_forward`.  See
+docs/reconfiguration.md for the full protocol walk-through.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.errors import ExecutionError
 
@@ -45,6 +49,7 @@ __all__ = [
     "EpochReport",
     "Migration",
     "check_serializable",
+    "fast_forward",
 ]
 
 #: Checkpoint blobs use pickle protocol 5, same as the data plane's codec
@@ -95,6 +100,16 @@ def check_serializable(value: Any, path: str = "state") -> None:
         f"{type(value).__name__!r} (allowed: dict/list/tuple/str/int/"
         "float/bool/bytes/None; see Operator.snapshot_state)"
     )
+
+
+def fast_forward(iterator: Iterator, n: int) -> bool:
+    """Advance a spout's source past its first ``n`` items.
+
+    Sources are deterministic seeded generators, so re-drawing (and
+    discarding) a committed prefix replays them to the exact resume
+    position.  Returns True when the source ran dry first.
+    """
+    return sum(1 for _ in islice(iterator, n)) < n
 
 
 @dataclass(frozen=True)
@@ -158,6 +173,21 @@ class EpochCheckpoint:
     def payload(self) -> dict:
         """Deserialize the blob (states / counters / stats)."""
         return pickle.loads(self.blob)
+
+    def tick_counts(self) -> dict[int, int]:
+        """Per-task fault-injector tick counts at this checkpoint.
+
+        Spouts tick once per produced tuple, operators once per consumed
+        tuple, so the spout positions and cumulative ``tuples_in``
+        reproduce the counts a full replay would have reached: fault
+        trigger offsets stay run-absolute across resumes.
+        """
+        counts = {
+            task_id: stats.tuples_in
+            for task_id, stats in self.payload()["stats"].items()
+        }
+        counts.update(self.spout_produced)
+        return counts
 
     def describe(self) -> str:
         return (

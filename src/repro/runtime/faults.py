@@ -256,9 +256,9 @@ class FaultInjector:
                 base_counts is not None
                 and fault.at_tuple <= base_counts.get(fault.task_id, 0)
             ):
-                # Already fired (or passed over) in an earlier epoch slice
-                # of the same attempt: a relaunched worker must not re-arm
-                # it or every slice would crash at the same offset.
+                # Already fired (or passed over) before the checkpoint this
+                # injector resumes from: a restarted worker must not re-arm
+                # it or every resume would crash at the same offset.
                 continue
             self._armed[fault.task_id].append(fault)
         self._counts: dict[int, int] = defaultdict(int)

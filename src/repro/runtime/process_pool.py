@@ -32,6 +32,15 @@ topologies at the cost of buffering (capacities are not enforced in this
 mode, since strict edge order may require holding later edges' input
 arbitrarily long).
 
+Pool lifetime
+-------------
+One pool serves a whole run.  Epoch barriers (docs/reconfiguration.md)
+cut the stream into slices; each slice is one command per worker over
+its control queue, and workers keep their operators, sources, fault
+injector, statistics and channel between slices.  Only a Supervisor
+resume or a placement-changing migration starts a pool from a committed
+checkpoint.
+
 Liveness
 --------
 Every worker stamps a shared heartbeat slot once per scheduling loop, and
@@ -62,12 +71,12 @@ the watchdogs above are what detect it.
 from __future__ import annotations
 
 import os
-import pickle
 import queue as queue_mod
 import random
 import time
 import traceback
 from collections import defaultdict, deque
+from dataclasses import fields, replace as dc_replace
 from time import monotonic, perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
@@ -107,6 +116,7 @@ from repro.runtime.epochs import (
     EpochCommit,
     EpochConfig,
     EpochReport,
+    fast_forward,
 )
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
 from repro.runtime.faults import FaultInjector, merge_fault_summaries
@@ -129,7 +139,6 @@ from repro.runtime.results import RunResult, TaskStats
 
 if TYPE_CHECKING:
     from repro.runtime.backends import OnEpoch
-    from repro.runtime.faults import Fault
 
 #: Default bound, in jumbo batches, of each worker's inbox queue.
 DEFAULT_INBOX_BATCHES = 64
@@ -203,8 +212,9 @@ class ProcessPoolBackend(ExecutorBackend):
     inbox_batches:
         Bound, in jumbo batches, of each worker's inbox.
     timeout_s:
-        Parent-side bound on the whole execution; exceeding it raises
-        :class:`~repro.errors.StallError` (never a silent hang).
+        Parent-side bound on each epoch slice (the whole run without
+        epochs); exceeding it raises :class:`~repro.errors.StallError`
+        (never a silent hang).
     heartbeat_timeout_s:
         A worker whose heartbeat is older than this is considered stalled
         (parent side) or dead (peer side, combined with the status
@@ -350,15 +360,6 @@ class ProcessPoolBackend(ExecutorBackend):
                 owner[task_id] = head_owner
         return n, owner
 
-    def _sockets_of_workers(
-        self, spec: RuntimeSpec, owner: Mapping[int, int]
-    ) -> dict[int, tuple[int, ...]]:
-        """Plan sockets hosted by each worker (for failure attribution)."""
-        sockets: dict[int, set[int]] = defaultdict(set)
-        for rt in spec.tasks:
-            sockets[owner[rt.task_id]].add(rt.socket if rt.socket is not None else 0)
-        return {wid: tuple(sorted(s)) for wid, s in sockets.items()}
-
     def execute(
         self,
         spec: RuntimeSpec,
@@ -370,155 +371,52 @@ class ProcessPoolBackend(ExecutorBackend):
         resume: "EpochCheckpoint | None" = None,
         on_epoch: "OnEpoch | None" = None,
     ) -> RunResult:
+        """Run ``spec`` on one worker pool that lives for the whole run.
+
+        The stream is cut into slices of ``epochs.interval`` events per
+        spout; a run without epochs is one final slice.  For each slice
+        the parent sends every worker a small command (event bound,
+        finality, shed directive, edge batch sizes).  Workers run it to
+        the per-edge EOF drain — windowed ``flush()`` only on the final
+        slice — post their barrier payload (operator states, routing
+        counters, spout positions and the slice's queue-stat and counter
+        windows) and block for the next command.  The parent commits the
+        payloads as the epoch checkpoint in between.  Operators, sources,
+        fault injectors, statistics and channels (shm rings, codec
+        dictionaries) stay live across slices.  The pool restarts from
+        the just-committed checkpoint only when a migration changes
+        placement — the same path a Supervisor retry takes via
+        ``resume``.
+        """
         if max_events < 0:
             raise TopologyError("max_events must be >= 0")
         require_vectorized(self.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
-        if epochs is not None:
-            return self._execute_epochs(
-                spec, max_events, registry, injector, epochs, resume, on_epoch
-            )
-        if self.overload is not None:
+        if epochs is None and self.overload is not None:
             raise ExecutionError(
                 "overload control requires epoch barriers "
                 "(pass an EpochConfig / --epoch-interval)"
             )
-        if resume is not None:
+        if epochs is None and resume is not None:
             raise ExecutionError(
                 "resume from a checkpoint requires epoch barriers "
                 "(pass an EpochConfig)"
             )
-        n_workers, outcomes = self._run_slice(spec, max_events, injector, None)
-        return self._merge(spec, registry, n_workers, outcomes)
-
-    def _run_slice(
-        self,
-        spec: RuntimeSpec,
-        max_events: int,
-        injector: "FaultInjector | None",
-        epoch_ctx: dict | None,
-    ) -> tuple[int, list[tuple]]:
-        """Launch one worker pool and collect every worker's outcome.
-
-        ``epoch_ctx`` (barrier runs only) carries the epoch slice bounds
-        and the previous checkpoint to each worker; ``None`` runs the
-        whole event budget in one pool — the historical behavior.
-        """
-        n_workers, owner = self._assign(spec)
-        worker_sockets = self._sockets_of_workers(spec, owner)
-        schedule: tuple["Fault", ...] = injector.schedule if injector else ()
-        attempt = injector.attempt if injector else 0
-        # The parent watchdog arms its own copy of this deadline in
-        # _await_outcomes; shipping it to the workers lets a blocked send
-        # give up when the *run* is out of budget, not just when its own
-        # send deadline expires (CLOCK_MONOTONIC is comparable across
-        # processes on every platform we fork on).
-        run_deadline = monotonic() + self.timeout_s
-        ctx = _mp_context()
-        # The data plane owns the run's transport resources (control
-        # queues, shm ring segments); closing it in the finally below is
-        # what guarantees no shared-memory segment survives the run, even
-        # when workers crashed or the watchdog fired mid-flight.
-        plane = create_dataplane(
-            self.dataplane,
-            ctx,
-            n_workers,
-            self.inbox_batches,
-            ring_bytes=self.ring_bytes,
-            edge_schemas=spec.edge_schemas,
-            string_dict=self.string_dict,
-        )
-        results: Any = ctx.Queue()
-        # Shared liveness state: heartbeat timestamps (monotonic seconds,
-        # stamped by each worker once per loop) and exit-status slots the
-        # parent fills in as soon as it observes a death, so blocked peers
-        # can distinguish "dead" from "slow".
-        heartbeats = ctx.Array("d", [monotonic()] * n_workers, lock=False)
-        status = ctx.Array("i", [_STATUS_RUNNING] * n_workers, lock=False)
-        workers = [
-            ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    spec,
-                    owner,
-                    max_events,
-                    plane.endpoint(worker_id),
-                    results,
-                    self.ordered,
-                    heartbeats,
-                    status,
-                    self.heartbeat_timeout_s,
-                    self.send_timeout_s,
-                    schedule,
-                    attempt,
-                    self.vectorized,
-                    epoch_ctx,
-                    self.send_retry,
-                    run_deadline,
-                ),
-                daemon=True,
+        interval = epochs.interval if epochs is not None else max_events
+        report = (
+            EpochReport(
+                interval=interval,
+                resumed_from=resume.epoch if resume is not None else None,
             )
-            for worker_id in range(n_workers)
-        ]
-        for process in workers:
-            process.start()
-        outcomes: list[tuple] = []
-        try:
-            self._await_outcomes(
-                workers, results, heartbeats, status, worker_sockets, outcomes
-            )
-        finally:
-            for process in workers:
-                if process.is_alive():
-                    process.terminate()
-            for process in workers:
-                process.join(timeout=5.0)
-            plane.close()
-            results.cancel_join_thread()
-        return n_workers, outcomes
-
-    def _execute_epochs(
-        self,
-        spec: RuntimeSpec,
-        max_events: int,
-        registry: MetricsRegistry,
-        injector: "FaultInjector | None",
-        epochs: "EpochConfig",
-        resume: "EpochCheckpoint | None",
-        on_epoch: "OnEpoch | None",
-    ) -> RunResult:
-        """Barrier protocol: one worker pool per epoch slice.
-
-        The process backend's epoch barrier is *stop-and-resume*: each
-        slice runs the dataflow to completion over the next
-        ``interval``-events window per spout (suppressing windowed
-        ``flush()`` on non-final slices), the workers return their
-        operator snapshots in the result payload, and the parent commits
-        them as the epoch checkpoint before launching the next pool.
-        Quiescence is therefore free — pool teardown is the barrier —
-        and a migration is just the next slice launching under the new
-        placement (re-partitioning tasks over workers by socket).
-        """
-        report = EpochReport(
-            interval=epochs.interval,
-            resumed_from=resume.epoch if resume is not None else None,
+            if epochs is not None
+            else None
         )
         spout_ids = {rt.task_id for rt in spec.tasks if rt.is_spout}
         spout_produced = {task_id: 0 for task_id in spout_ids}
-        blob: bytes | None = None
-        tick_base: dict[int, int] = {}
         checkpoint = resume
         epoch = 0
         if resume is not None:
-            blob = resume.blob
             spout_produced.update(resume.spout_produced)
-            payload = resume.payload()
-            tick_base = {
-                task_id: stats.tuples_in
-                for task_id, stats in payload["stats"].items()
-            }
-            tick_base.update(resume.spout_produced)
             epoch = resume.epoch + 1
         fault_summaries: list[dict[str, float]] = []
         exhausted: set[int] = set()
@@ -528,331 +426,213 @@ class ProcessPoolBackend(ExecutorBackend):
             else None
         )
         manager = (
-            OverloadManager(spec, self.overload, epochs.interval, registry)
+            OverloadManager(spec, self.overload, interval, registry)
             if self.overload is not None
             else None
         )
+        # Run-wide totals, folded from the per-slice windows workers post.
+        worker_metrics: dict[int, dict[str, float]] = defaultdict(
+            lambda: defaultdict(float)
+        )
+        edge_stats: dict[tuple[int, int], QueueStats] = {}
         # The spout budget is a *cumulative admission target*: each epoch
         # extends it by the token-bucket allowance (the full interval
         # while healthy — integer-identical to the historical
         # ``(epoch + 1) * interval`` — a fraction of it while the
         # throttle rung is active).
-        limit = min(max_events, epoch * epochs.interval)
-        while True:
-            allowance = (
-                manager.spout_allowance()
-                if manager is not None
-                else epochs.interval
-            )
-            limit = min(max_events, limit + allowance)
-            final = limit >= max_events or exhausted >= spout_ids
-            epoch_ctx = {
-                "blob": blob,
-                "spout_produced": dict(spout_produced),
-                "limit": limit,
-                "final": final,
-                "tick_base": dict(tick_base),
-                "shed": manager.shed_context() if manager is not None else None,
-            }
-            try:
-                n_workers, outcomes = self._run_slice(
-                    spec, max_events, injector, epoch_ctx
+        limit = min(max_events, epoch * interval)
+        pool = _WorkerPool(self, spec, max_events, injector, resume)
+        try:
+            while True:
+                allowance = (
+                    manager.spout_allowance() if manager is not None else interval
                 )
-            except ExecutionError as exc:
-                if getattr(exc, "last_checkpoint", None) is None:
-                    exc.last_checkpoint = checkpoint
-                raise
-            states: dict[int, Any] = {}
-            counters: dict[Any, int] = {}
-            stats_map: dict[int, TaskStats] = {}
-            sink_received = 0
-            for outcome in outcomes:
-                payload = outcome[6].get("epoch") or {}
-                states.update(payload.get("states", {}))
-                counters.update(payload.get("counters", {}))
-                spout_produced.update(payload.get("spout_produced", {}))
-                exhausted.update(payload.get("exhausted", ()))
-                stats_map.update(outcome[3])
-                for sink in outcome[4].values():
-                    sink_received += sink.received
-                summary = outcome[6].get("fault_summary")
-                if summary:
-                    fault_summaries.append(summary)
-            if controller is not None or manager is not None:
-                # Pressure beyond blocked_batches: a worker that stalled
-                # on its shm ring or blocked on remote sends marks all
-                # its remote out-edges as pressured (the transport does
-                # not say which edge, so all of that worker's candidates
-                # count).  Shared by the AIMD batch controller and the
-                # overload detector.
-                _, slice_owner = self._assign(spec)
+                limit = min(max_events, limit + allowance)
+                final = limit >= max_events or exhausted >= spout_ids
+                try:
+                    outcomes = pool.run_slice(
+                        limit=limit,
+                        final=final,
+                        shed=manager and manager.shed_context(),
+                        batches=dict(spec.edge_batch_size),
+                    )
+                except ExecutionError as exc:
+                    if getattr(exc, "last_checkpoint", None) is None:
+                        exc.last_checkpoint = checkpoint
+                    raise
+                states: dict[int, Any] = {}
+                counters: dict[Any, int] = {}
+                stats_map: dict[int, TaskStats] = {}
+                sink_received = 0
                 pressure: set[tuple[int, int]] = set()
-                for outcome in outcomes:
-                    worker_id = outcome[1]
-                    metrics_blob = outcome[6]
-                    if metrics_blob.get("ring_full_blocks", 0) or metrics_blob.get(
-                        "send_blocks", 0
-                    ):
+                slice_windows: dict[tuple[int, int], QueueStats] = {}
+                for _, worker_id, _, stats, sinks, windows, metrics in outcomes:
+                    barrier = metrics["epoch"]
+                    states.update(barrier.get("states", {}))
+                    counters.update(barrier.get("counters", {}))
+                    spout_produced.update(barrier["spout_produced"])
+                    exhausted.update(barrier["exhausted"])
+                    stats_map.update(stats)
+                    sink_received += sum(sink.received for sink in sinks.values())
+                    if metrics.get("fault_summary"):
+                        fault_summaries.append(metrics["fault_summary"])
+                    for key, value in metrics.items():
+                        if isinstance(value, (int, float)):
+                            worker_metrics[worker_id][key] += value
+                    slice_windows.update(windows)
+                    for key, window in windows.items():
+                        _fold_window(edge_stats.setdefault(key, QueueStats()), window)
+                    if metrics.get("ring_full_blocks") or metrics.get("send_blocks"):
+                        # Pressure beyond blocked_batches: a worker that
+                        # stalled on its shm ring or blocked on remote
+                        # sends this slice marks all its remote out-edges
+                        # as pressured (the transport does not say which
+                        # edge).  Shared by the AIMD batch controller and
+                        # the overload detector.
                         for rt in spec.tasks:
-                            if slice_owner.get(rt.task_id) != worker_id:
+                            if pool.owner[rt.task_id] != worker_id:
                                 continue
                             for edge in rt.out_edges:
-                                if slice_owner.get(edge.consumer) != worker_id:
+                                if pool.owner[edge.consumer] != worker_id:
                                     pressure.add((edge.producer, edge.consumer))
-            if manager is not None:
-                # One ladder step per slice.  Worker pools are fresh each
-                # slice, so the per-edge QueueStats they report *are* the
-                # window deltas the lag tracker and detector want.
-                windows: dict[tuple[int, int], EdgeWindow] = {}
-                for outcome in outcomes:
-                    for key, st in outcome[5].items():
-                        windows[key] = EdgeWindow(
-                            enqueued_batches=st.enqueued_batches,
-                            enqueued_tuples=st.enqueued_tuples,
-                            dequeued_tuples=st.dequeued_tuples,
-                            blocked_batches=st.blocked_batches,
-                            peak_depth=st.max_depth_tuples,
-                        )
-                    manager.merge_shed_snapshot(
-                        outcome[6].get("overload_shed")
+                if manager is not None:
+                    # One ladder step per slice.  Workers report per-slice
+                    # QueueStats windows, which is exactly what the lag
+                    # tracker and detector want.
+                    manager.observe_windows(
+                        epoch,
+                        {
+                            key: EdgeWindow(
+                                enqueued_batches=st.enqueued_batches,
+                                enqueued_tuples=st.enqueued_tuples,
+                                dequeued_tuples=st.dequeued_tuples,
+                                blocked_batches=st.blocked_batches,
+                                peak_depth=st.max_depth_tuples,
+                            )
+                            for key, st in slice_windows.items()
+                        },
+                        frozenset(pressure),
                     )
-                manager.observe_windows(epoch, windows, frozenset(pressure))
-            if controller is not None:
-                # One AIMD step per slice, from the same window deltas.
-                # While the ladder's batch-shrink rung is active every
-                # edge is treated as pressured so batches shrink toward
-                # their floor (finer batches drain bounded queues sooner).
-                window: dict[tuple[int, int], tuple[int, int, int]] = {}
-                for outcome in outcomes:
-                    for key, st in outcome[5].items():
-                        window[key] = (
+                    for outcome in outcomes:
+                        manager.merge_shed_snapshot(outcome[6].get("overload_shed"))
+                if controller is not None:
+                    # One AIMD step per slice, from the same windows.
+                    # While the ladder's batch-shrink rung is active every
+                    # edge is treated as pressured so batches shrink toward
+                    # their floor (finer batches drain bounded queues sooner).
+                    window = {
+                        key: (
                             st.enqueued_batches,
                             st.enqueued_tuples,
                             st.blocked_batches,
                         )
-                batch_pressure: set[tuple[int, int]] = set(pressure)
-                if manager is not None and manager.force_batch_pressure:
-                    batch_pressure.update(window)
-                changed = controller.observe_window(window, batch_pressure)
-                if changed and not final:
-                    spec = apply_edge_batches(spec, changed)
-            if final:
-                result = self._merge(spec, registry, n_workers, outcomes)
-                result.events_ingested = sum(spout_produced.values())
-                if fault_summaries:
-                    result.fault_summary = merge_fault_summaries(
-                        *fault_summaries
+                        for key, st in slice_windows.items()
+                    }
+                    if manager is not None and manager.force_batch_pressure:
+                        pressure.update(window)
+                    changed = controller.observe_window(window, pressure)
+                    if changed and not final:
+                        spec = apply_edge_batches(spec, changed)
+                if final:
+                    pool.close(graceful=True)
+                    result = self._merge(spec, outcomes)
+                    result.events_ingested = sum(spout_produced.values())
+                    result.fault_summary = (
+                        merge_fault_summaries(*fault_summaries)
+                        if fault_summaries
+                        else None
                     )
-                result.epochs = report
-                if manager is not None:
-                    result.overload = manager.finish()
-                if registry.enabled:
-                    registry.gauge("runtime.epoch.interval").set(report.interval)
-                    registry.gauge("runtime.epoch.committed").set(
-                        report.committed
-                    )
-                    registry.gauge("runtime.epoch.barrier_ns").set(
-                        report.barrier_ns
-                    )
-                    registry.gauge("runtime.epoch.snapshot_bytes").set(
-                        report.snapshot_bytes
-                    )
-                    if controller is not None:
-                        for name, value in controller.report().items():
-                            registry.counter(f"runtime.batch.{name}").inc(value)
-                        for (p, c), size in spec.edge_batch_size.items():
-                            registry.gauge(f"runtime.batch.size.{p}-{c}").set(
-                                size
-                            )
-                return result
-            started = perf_counter()
-            checkpoint = EpochCheckpoint.capture(
-                epoch,
-                events_ingested=sum(spout_produced.values()),
-                spout_produced=spout_produced,
-                states=states,
-                counters=counters,
-                stats=stats_map,
-                sink_received=sink_received,
-            )
-            report.barrier_ns += (perf_counter() - started) * 1e9
-            report.committed += 1
-            report.snapshot_bytes = checkpoint.snapshot_bytes
-            report.events.append(
-                {
-                    "kind": "commit",
-                    "epoch": epoch,
-                    "events_ingested": checkpoint.events_ingested,
-                    "snapshot_bytes": checkpoint.snapshot_bytes,
-                }
-            )
-            blob = checkpoint.blob
-            tick_base = {
-                task_id: stats.tuples_in
-                for task_id, stats in stats_map.items()
-            }
-            tick_base.update(spout_produced)
-            if on_epoch is not None:
-                commit = EpochCommit(
-                    epoch=epoch,
-                    spec=spec,
-                    checkpoint=checkpoint,
-                    task_stats=stats_map,
-                    # Per-task wall-clock is an inline-backend signal;
-                    # workers only report per-process busy time.
-                    task_wall_ns={},
-                    events_ingested=checkpoint.events_ingested,
-                    overload=(
-                        manager.commit_state() if manager is not None else None
-                    ),
-                )
-                migration = on_epoch(commit)
-                if migration is not None:
-                    started = perf_counter()
-                    spec = migration.spec
-                    pause_ns = (perf_counter() - started) * 1e9
-                    report.migrations += 1
-                    report.migration_pause_ns += pause_ns
-                    report.events.append(
-                        {
-                            "kind": "migration",
-                            "epoch": epoch,
-                            "moved": sorted(migration.moved),
-                            "pause_ns": round(pause_ns),
-                            "detail": migration.detail,
-                        }
-                    )
-            epoch += 1
-
-    def _await_outcomes(
-        self,
-        workers: list,
-        results: Any,
-        heartbeats: Any,
-        status: Any,
-        worker_sockets: Mapping[int, tuple[int, ...]],
-        outcomes: list[tuple],
-    ) -> None:
-        """Collect one outcome per worker under the parent watchdog.
-
-        Successful outcomes accumulate into ``outcomes`` (also on
-        failure, so the caller can merge partial progress).  Raises a
-        typed :class:`ExecutionError` subclass on any worker failure,
-        stall or timeout — this method never blocks unboundedly.
-        """
-        deadline = monotonic() + self.timeout_s
-        pending = set(range(len(workers)))
-
-        def drain(timeout: float) -> bool:
-            try:
-                outcome = results.get(timeout=timeout)
-            except queue_mod.Empty:
-                return False
-            if outcome[0] == "error":
-                _, worker_id, error_kind, message, trace = outcome
-                error_cls = _ERROR_CLASSES.get(error_kind, ExecutionError)
-                raise error_cls(
-                    f"worker {worker_id} failed: {message}\n{trace}",
-                    partial_result=self._partial(outcomes),
-                    failed_workers=(worker_id,),
-                    failed_sockets=worker_sockets.get(worker_id, ()),
-                )
-            outcomes.append(outcome)
-            pending.discard(outcome[1])
-            return True
-
-        while pending:
-            if drain(_POLL_INTERVAL_S):
-                continue
-            now = monotonic()
-            dead = [
-                wid
-                for wid in sorted(pending)
-                if not workers[wid].is_alive()
-            ]
-            if dead:
-                # Publish the deaths so blocked peers stop waiting, then
-                # give the result queue a grace window: a worker that
-                # exited cleanly may still have its outcome in flight.
-                for wid in dead:
-                    status[wid] = workers[wid].exitcode or 0
-                grace = monotonic() + _DEATH_GRACE_S
-                while monotonic() < grace and pending & set(dead):
-                    drain(_POLL_INTERVAL_S)
-                lost = sorted(pending & set(dead))
-                if lost:
-                    codes = {wid: workers[wid].exitcode for wid in lost}
-                    sockets = tuple(
-                        sorted(
-                            s
-                            for wid in lost
-                            for s in worker_sockets.get(wid, ())
+                    result.epochs = report
+                    if manager is not None:
+                        result.overload = manager.finish()
+                    if registry.enabled:
+                        self._publish(
+                            registry, spec, result, pool.n_workers,
+                            edge_stats, worker_metrics,
                         )
-                    )
-                    raise WorkerCrashError(
-                        f"worker(s) {lost} died without reporting a result "
-                        f"(exit codes {codes})",
-                        partial_result=self._partial(outcomes),
-                        failed_workers=tuple(lost),
-                        failed_sockets=sockets,
-                    )
-                continue
-            stale = [
-                wid
-                for wid in sorted(pending)
-                if now - heartbeats[wid] > self.heartbeat_timeout_s
-            ]
-            if stale:
-                ages = {wid: round(now - heartbeats[wid], 2) for wid in stale}
-                sockets = tuple(
-                    sorted(
-                        s for wid in stale for s in worker_sockets.get(wid, ())
-                    )
+                        if controller is not None:
+                            for name, value in controller.report().items():
+                                registry.counter(f"runtime.batch.{name}").inc(value)
+                            for (p, c), size in spec.edge_batch_size.items():
+                                registry.gauge(f"runtime.batch.size.{p}-{c}").set(size)
+                    if registry.enabled and report is not None:
+                        for name in (
+                            "interval", "committed", "barrier_ns", "snapshot_bytes"
+                        ):
+                            registry.gauge(f"runtime.epoch.{name}").set(
+                                getattr(report, name)
+                            )
+                    return result
+                started = perf_counter()
+                checkpoint = EpochCheckpoint.capture(
+                    epoch,
+                    events_ingested=sum(spout_produced.values()),
+                    spout_produced=spout_produced,
+                    states=states,
+                    counters=counters,
+                    stats=stats_map,
+                    sink_received=sink_received,
                 )
-                raise StallError(
-                    f"worker(s) {stale} stopped heartbeating "
-                    f"(last heartbeat {ages} s ago, "
-                    f"watchdog {self.heartbeat_timeout_s}s)",
-                    partial_result=self._partial(outcomes),
-                    failed_workers=tuple(stale),
-                    failed_sockets=sockets,
+                report.barrier_ns += (perf_counter() - started) * 1e9
+                report.committed += 1
+                report.snapshot_bytes = checkpoint.snapshot_bytes
+                report.events.append(
+                    {
+                        "kind": "commit",
+                        "epoch": epoch,
+                        "events_ingested": checkpoint.events_ingested,
+                        "snapshot_bytes": checkpoint.snapshot_bytes,
+                    }
                 )
-            if now > deadline:
-                raise StallError(
-                    f"process backend timed out after {self.timeout_s}s "
-                    f"waiting for worker results (workers {sorted(pending)} "
-                    "still running)",
-                    partial_result=self._partial(outcomes),
-                    failed_workers=tuple(sorted(pending)),
-                )
+                if on_epoch is not None:
+                    commit = EpochCommit(
+                        epoch=epoch,
+                        spec=spec,
+                        checkpoint=checkpoint,
+                        task_stats=stats_map,
+                        # Per-task wall-clock is an inline-backend signal;
+                        # workers only report per-process busy time.
+                        task_wall_ns={},
+                        events_ingested=checkpoint.events_ingested,
+                        overload=(
+                            manager.commit_state() if manager is not None else None
+                        ),
+                    )
+                    migration = on_epoch(commit)
+                    if migration is not None:
+                        # Re-partition tasks over workers by socket: the
+                        # new pool restores the just-committed checkpoint.
+                        started = perf_counter()
+                        spec = migration.spec
+                        pool.close(graceful=True)
+                        pool = _WorkerPool(self, spec, max_events, injector, checkpoint)
+                        pause_ns = (perf_counter() - started) * 1e9
+                        report.migrations += 1
+                        report.migration_pause_ns += pause_ns
+                        report.events.append(
+                            {
+                                "kind": "migration",
+                                "epoch": epoch,
+                                "moved": sorted(migration.moved),
+                                "pause_ns": round(pause_ns),
+                                "detail": migration.detail,
+                            }
+                        )
+                epoch += 1
+        finally:
+            pool.close()
 
-    def _partial(self, outcomes: list[tuple]) -> RunResult | None:
-        """Merge the outcomes received so far into a partial result."""
-        if not outcomes:
-            return None
-        result = self._merge(None, NULL_REGISTRY, len(outcomes), outcomes)
-        result.partial = True
-        return result
-
-    def _merge(
-        self,
-        spec: RuntimeSpec | None,
-        registry: MetricsRegistry,
-        n_workers: int,
-        outcomes: list[tuple],
-    ) -> RunResult:
+    @staticmethod
+    def _merge(spec: RuntimeSpec | None, outcomes: list[tuple]) -> RunResult:
+        """One slice's worker outcomes as a result (tasks, sinks, faults)."""
         events = 0
         task_stats: dict[int, TaskStats] = {}
         sinks_by_task: dict[int, Sink] = {}
-        edge_stats: dict[tuple[int, int], QueueStats] = {}
-        worker_metrics: dict[int, dict[str, float]] = {}
         fault_summaries: list[dict[str, float]] = []
-        for _, worker_id, worker_events, stats, sinks, edges, metrics in outcomes:
+        for _, _, worker_events, stats, sinks, _, metrics in outcomes:
             events += worker_events
             task_stats.update(stats)
             sinks_by_task.update(sinks)
-            edge_stats.update(edges)
-            worker_metrics[worker_id] = metrics
             summary = metrics.get("fault_summary")
             if summary:
                 fault_summaries.append(summary)
@@ -871,7 +651,7 @@ class ProcessPoolBackend(ExecutorBackend):
             topology_name = next(
                 (s.component for s in task_stats.values()), "partial"
             )
-        result = RunResult(
+        return RunResult(
             topology_name=topology_name,
             events_ingested=events,
             task_stats=task_stats,
@@ -882,142 +662,336 @@ class ProcessPoolBackend(ExecutorBackend):
                 else None
             ),
         )
-        if spec is not None and registry.enabled:
-            publish_engine_metrics(registry, spec, result, edge_stats)
-            registry.gauge("runtime.run.workers").set(n_workers)
-            totals = defaultdict(float)
-            dataplane_counters = (
-                "ring_full_blocks",
-                "bytes_inline",
-                "bytes_oob",
-                "codec_fallbacks",
-                "dict_columns",
-                "dict_pages",
-                "dict_bytes",
-                "dict_promotions",
-                "dict_demotions",
+
+    @staticmethod
+    def _publish(
+        registry: MetricsRegistry,
+        spec: RuntimeSpec,
+        result: RunResult,
+        n_workers: int,
+        edge_stats: Mapping[tuple[int, int], QueueStats],
+        worker_metrics: Mapping[int, Mapping[str, float]],
+    ) -> None:
+        """Publish run-wide counters summed over every slice's windows."""
+        publish_engine_metrics(registry, spec, result, edge_stats)
+        registry.gauge("runtime.run.workers").set(n_workers)
+        totals = defaultdict(float)
+        dataplane_counters = (
+            "ring_full_blocks",
+            "bytes_inline",
+            "bytes_oob",
+            "codec_fallbacks",
+            "dict_columns",
+            "dict_pages",
+            "dict_bytes",
+            "dict_promotions",
+            "dict_demotions",
+        )
+        for worker_id, metrics in sorted(worker_metrics.items()):
+            prefix = f"runtime.worker.{worker_id}"
+            wall_ns = metrics.get("wall_ns", 0.0)
+            registry.gauge(f"{prefix}.busy_fraction").set(
+                max(0.0, 1.0 - metrics.get("idle_ns", 0.0) / wall_ns)
+                if wall_ns
+                else 0.0
             )
-            for worker_id, metrics in sorted(worker_metrics.items()):
-                prefix = f"runtime.worker.{worker_id}"
-                registry.gauge(f"{prefix}.busy_fraction").set(
-                    metrics.get("busy_fraction", 0.0)
-                )
-                registry.gauge(f"{prefix}.blocked_send_ns").set(
-                    metrics.get("blocked_send_ns", 0.0)
-                )
-                registry.counter(f"{prefix}.send_blocks").inc(
-                    int(metrics.get("send_blocks", 0))
-                )
-                registry.counter(f"{prefix}.pickled_bytes_out").inc(
-                    int(metrics.get("pickled_bytes_out", 0))
-                )
-                registry.counter(f"{prefix}.remote_batches_out").inc(
-                    int(metrics.get("remote_batches_out", 0))
-                )
-                registry.counter(f"{prefix}.overflow_admissions").inc(
-                    int(metrics.get("overflow_admissions", 0))
-                )
-                registry.counter(f"{prefix}.spout_throttles").inc(
-                    int(metrics.get("spout_throttles", 0))
-                )
-                for key in (
-                    "pickled_bytes_out",
-                    *dataplane_counters,
-                    *_VECTORIZED_COUNTERS,
-                    *_FUSION_COUNTERS,
-                ):
-                    totals[key] += metrics.get(key, 0.0)
-            registry.counter("runtime.run.pickled_bytes").inc(
-                int(totals["pickled_bytes_out"])
+            registry.gauge(f"{prefix}.blocked_send_ns").set(
+                metrics.get("blocked_send_ns", 0.0)
             )
-            for key in dataplane_counters:
-                # dict_* counters publish under a dotted sub-namespace:
-                # runtime.dataplane.dict.{columns,pages,bytes,...}.
-                name = key.replace("dict_", "dict.")
-                registry.counter(f"runtime.dataplane.{name}").inc(int(totals[key]))
-            for key in _VECTORIZED_COUNTERS:
-                name = key.removeprefix("vectorized_")
-                registry.counter(f"runtime.vectorized.{name}").inc(
-                    int(totals[key])
-                )
-            for key in _FUSION_COUNTERS:
-                name = key.removeprefix("fusion_")
-                registry.counter(f"runtime.fusion.{name}").inc(
-                    int(totals[key])
-                )
-            # Total payload bytes the run moved between workers, whatever
-            # the transport: pickled control-queue payloads plus the shm
-            # plane's in-ring and out-of-band codec payloads.
-            registry.counter("runtime.run.dataplane_bytes").inc(
-                int(
-                    totals["pickled_bytes_out"]
-                    + totals["bytes_inline"]
-                    + totals["bytes_oob"]
-                )
+            for key in (
+                "send_blocks",
+                "pickled_bytes_out",
+                "remote_batches_out",
+                "overflow_admissions",
+                "spout_throttles",
+            ):
+                registry.counter(f"{prefix}.{key}").inc(int(metrics.get(key, 0)))
+            for key in (
+                "pickled_bytes_out",
+                *dataplane_counters,
+                *_VECTORIZED_COUNTERS,
+                *_FUSION_COUNTERS,
+            ):
+                totals[key] += metrics.get(key, 0.0)
+        registry.counter("runtime.run.pickled_bytes").inc(
+            int(totals["pickled_bytes_out"])
+        )
+        for key in dataplane_counters:
+            # dict_* counters publish under a dotted sub-namespace:
+            # runtime.dataplane.dict.{columns,pages,bytes,...}.
+            name = key.replace("dict_", "dict.")
+            registry.counter(f"runtime.dataplane.{name}").inc(int(totals[key]))
+        for key in _VECTORIZED_COUNTERS:
+            name = key.removeprefix("vectorized_")
+            registry.counter(f"runtime.vectorized.{name}").inc(int(totals[key]))
+        for key in _FUSION_COUNTERS:
+            name = key.removeprefix("fusion_")
+            registry.counter(f"runtime.fusion.{name}").inc(int(totals[key]))
+        # Total payload bytes the run moved between workers, whatever
+        # the transport: pickled control-queue payloads plus the shm
+        # plane's in-ring and out-of-band codec payloads.
+        registry.counter("runtime.run.dataplane_bytes").inc(
+            int(
+                totals["pickled_bytes_out"]
+                + totals["bytes_inline"]
+                + totals["bytes_oob"]
             )
-        return result
+        )
+
+
+def _fold_window(total: QueueStats, window: QueueStats) -> None:
+    """Add one slice's queue-stat window into the run total (peaks max)."""
+    for f in fields(QueueStats):
+        value = getattr(window, f.name)
+        if f.name == "max_depth_tuples":
+            total.max_depth_tuples = max(total.max_depth_tuples, value)
+        else:
+            setattr(total, f.name, getattr(total, f.name) + value)
+
+
+class _WorkerPool:
+    """The worker processes, data plane and control queues of one run.
+
+    Started once per ``execute()``, optionally from a committed
+    checkpoint (Supervisor resume), and again only when a migration
+    changes placement.  Each worker runs one slice per command posted
+    on its control queue and blocks for the next.
+    """
+
+    def __init__(
+        self,
+        backend: ProcessPoolBackend,
+        spec: RuntimeSpec,
+        max_events: int,
+        injector: "FaultInjector | None",
+        resume: "EpochCheckpoint | None",
+    ) -> None:
+        self.backend = backend
+        n, self.owner = backend._assign(spec)
+        self.n_workers = n
+        # Plan sockets hosted by each worker (for failure attribution).
+        sockets: dict[int, set[int]] = defaultdict(set)
+        for rt in spec.tasks:
+            sockets[self.owner[rt.task_id]].add(rt.socket or 0)
+        self.worker_sockets = {w: tuple(sorted(s)) for w, s in sockets.items()}
+        self.closed = False
+        ctx = _mp_context()
+        # The data plane owns the run's transport resources (inboxes, shm
+        # ring segments); close() is what guarantees no shared-memory
+        # segment survives the run, even when workers crashed or the
+        # watchdog fired mid-flight.
+        self.plane = create_dataplane(
+            backend.dataplane,
+            ctx,
+            n,
+            backend.inbox_batches,
+            ring_bytes=backend.ring_bytes,
+            edge_schemas=spec.edge_schemas,
+            string_dict=backend.string_dict,
+        )
+        self.results: Any = ctx.Queue()
+        self.commands: list[Any] = [ctx.Queue() for _ in range(n)]
+        # Shared liveness state: heartbeat timestamps (monotonic seconds,
+        # stamped by each worker once per loop) and exit-status slots the
+        # parent fills in as soon as it observes a death, so blocked peers
+        # can distinguish "dead" from "slow".
+        self.heartbeats = ctx.Array("d", [monotonic()] * n, lock=False)
+        self.status = ctx.Array("i", [_STATUS_RUNNING] * n, lock=False)
+        self.workers = [
+            ctx.Process(
+                target=_worker_main,
+                args=(self.commands[worker_id], self.results, os.getpid()),
+                kwargs=dict(
+                    worker_id=worker_id,
+                    spec=spec,
+                    owner=self.owner,
+                    max_events=max_events,
+                    channel=self.plane.endpoint(worker_id),
+                    ordered=backend.ordered,
+                    heartbeats=self.heartbeats,
+                    status=self.status,
+                    heartbeat_timeout_s=backend.heartbeat_timeout_s,
+                    send_timeout_s=backend.send_timeout_s,
+                    schedule=injector.schedule if injector else (),
+                    attempt=injector.attempt if injector else 0,
+                    vectorized=backend.vectorized,
+                    resume=resume,
+                    send_retry=backend.send_retry,
+                ),
+                daemon=True,
+            )
+            for worker_id in range(n)
+        ]
+        try:
+            for process in self.workers:
+                process.start()
+        except BaseException:
+            self.close()
+            raise
+
+    def run_slice(self, **command: Any) -> list[tuple]:
+        """Run one slice on every worker; collect their outcomes.
+
+        The parent watchdog converts a dead worker into
+        :class:`WorkerCrashError` and a stale heartbeat or an exhausted
+        ``timeout_s`` budget into :class:`StallError`, each carrying a
+        partial result merged from the outcomes received so far — this
+        method never blocks unboundedly.
+        """
+        timeout_s = self.backend.timeout_s
+        deadline = monotonic() + timeout_s
+        # The deadline also bounds blocked sends inside the workers, so a
+        # stalled send gives up when the slice is out of budget, not just
+        # when its own send deadline expires (CLOCK_MONOTONIC is
+        # comparable across processes on every platform we fork on).
+        command["deadline"] = deadline
+        for worker_id, commands in enumerate(self.commands):
+            # Workers heartbeat only while running a slice: restamp so the
+            # barrier the parent just spent does not read as a stall.
+            self.heartbeats[worker_id] = monotonic()
+            commands.put(command)
+        outcomes: list[tuple] = []
+        pending = set(range(self.n_workers))
+
+        def failure(error_cls: type, message: str, failed: list[int]) -> Exception:
+            return error_cls(
+                message,
+                partial_result=_partial(outcomes),
+                failed_workers=tuple(failed),
+                failed_sockets=tuple(
+                    sorted(
+                        s for wid in failed for s in self.worker_sockets.get(wid, ())
+                    )
+                ),
+            )
+
+        def drain(timeout: float) -> bool:
+            try:
+                outcome = self.results.get(timeout=timeout)
+            except queue_mod.Empty:
+                return False
+            if outcome[0] == "error":
+                _, worker_id, error_kind, message, trace = outcome
+                raise failure(
+                    _ERROR_CLASSES.get(error_kind, ExecutionError),
+                    f"worker {worker_id} failed: {message}\n{trace}",
+                    [worker_id],
+                )
+            outcomes.append(outcome)
+            pending.discard(outcome[1])
+            return True
+
+        while pending:
+            if drain(_POLL_INTERVAL_S):
+                continue
+            now = monotonic()
+            dead = [wid for wid in sorted(pending) if not self.workers[wid].is_alive()]
+            if dead:
+                # Publish the deaths so blocked peers stop waiting, then
+                # give the result queue a grace window: a worker that
+                # exited cleanly may still have its outcome in flight.
+                for wid in dead:
+                    self.status[wid] = self.workers[wid].exitcode or 0
+                grace = monotonic() + _DEATH_GRACE_S
+                while monotonic() < grace and pending & set(dead):
+                    drain(_POLL_INTERVAL_S)
+                lost = sorted(pending & set(dead))
+                if lost:
+                    codes = {wid: self.workers[wid].exitcode for wid in lost}
+                    raise failure(
+                        WorkerCrashError,
+                        f"worker(s) {lost} died without reporting a result "
+                        f"(exit codes {codes})",
+                        lost,
+                    )
+                continue
+            heartbeat_timeout_s = self.backend.heartbeat_timeout_s
+            stale = [
+                wid
+                for wid in sorted(pending)
+                if now - self.heartbeats[wid] > heartbeat_timeout_s
+            ]
+            if stale:
+                ages = {wid: round(now - self.heartbeats[wid], 2) for wid in stale}
+                raise failure(
+                    StallError,
+                    f"worker(s) {stale} stopped heartbeating "
+                    f"(last heartbeat {ages} s ago, "
+                    f"watchdog {heartbeat_timeout_s}s)",
+                    stale,
+                )
+            if now > deadline:
+                raise failure(
+                    StallError,
+                    f"process backend timed out after {timeout_s}s "
+                    f"waiting for worker results (workers {sorted(pending)} "
+                    "still running)",
+                    sorted(pending),
+                )
+        return outcomes
+
+    def close(self, graceful: bool = False) -> None:
+        """Stop the workers and release the plane (idempotent).
+
+        ``graceful`` lets idle workers exit on a stop command first (a
+        finished run or a migration restart); anything still alive —
+        every worker on a failure path — is terminated.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        for commands in self.commands:
+            if graceful:
+                commands.put(None)
+            # End the queue's feeder thread: a later pool forks from here.
+            commands.close()
+            commands.join_thread()
+        for process in self.workers:
+            if graceful and process.pid is not None:
+                process.join(timeout=5.0)
+            if process.is_alive():
+                process.terminate()
+        for process in self.workers:
+            if process.pid is not None:
+                process.join(timeout=5.0)
+        self.plane.close()
+        self.results.cancel_join_thread()
+
+
+def _partial(outcomes: list[tuple]) -> RunResult | None:
+    """Merge the outcomes received so far into a partial result."""
+    if not outcomes:
+        return None
+    result = ProcessPoolBackend._merge(None, outcomes)
+    result.partial = True
+    return result
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_main(
-    worker_id: int,
-    spec: RuntimeSpec,
-    owner: Mapping[int, int],
-    max_events: int,
-    endpoint: Any,
-    results: Any,
-    ordered: bool,
-    heartbeats: Any,
-    status: Any,
-    heartbeat_timeout_s: float,
-    send_timeout_s: float,
-    schedule: tuple,
-    attempt: int,
-    vectorized: str = "auto",
-    epoch_ctx: dict | None = None,
-    send_retry: SendRetryPolicy | None = None,
-    run_deadline: float | None = None,
+    commands: Any, results: Any, parent_pid: int, **worker_args: Any
 ) -> None:
     worker = None
     try:
-        worker = _Worker(
-            worker_id,
-            spec,
-            owner,
-            max_events,
-            endpoint,
-            ordered,
-            heartbeats=heartbeats,
-            status=status,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            send_timeout_s=send_timeout_s,
-            schedule=schedule,
-            attempt=attempt,
-            vectorized=vectorized,
-            epoch_ctx=epoch_ctx,
-            send_retry=send_retry,
-            run_deadline=run_deadline,
-        )
-        results.put(worker.run())
-    except ExecutionError as exc:
-        results.put(
-            (
-                "error",
-                worker_id,
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-            )
-        )
+        worker = _Worker(**worker_args)
+        while True:
+            command = _next_command(commands, parent_pid)
+            if command is None:
+                return
+            worker.begin_slice(**command)
+            results.put(worker.run())
+            if command["final"]:
+                return
     except BaseException as exc:
+        typed = isinstance(exc, ExecutionError)
         results.put(
             (
                 "error",
-                worker_id,
-                "ExecutionError",
-                repr(exc),
+                worker_args["worker_id"],
+                type(exc).__name__ if typed else "ExecutionError",
+                str(exc) if typed else repr(exc),
                 traceback.format_exc(),
             )
         )
@@ -1028,8 +1002,28 @@ def _worker_main(
             worker.channel.close()
 
 
+def _next_command(commands: Any, parent_pid: int) -> dict | None:
+    """Block for the parent's next slice command; None means stop."""
+    while True:
+        try:
+            return commands.get(timeout=1.0)
+        except queue_mod.Empty:
+            if os.getppid() != parent_pid:
+                return None  # orphaned: the parent is gone
+
+
+def _delta(totals: Mapping[str, float], reported: Mapping[str, float]) -> dict:
+    """Counter growth since the last report."""
+    return {key: value - reported.get(key, 0.0) for key, value in totals.items()}
+
+
 class _Worker:
-    """One worker process: runs its task partition to completion."""
+    """One worker process: runs its task partition, one slice per command.
+
+    Operator instances, spout iterators, the fault injector, routing
+    counters, per-task statistics and the channel persist across slices;
+    :meth:`begin_slice` only resets the per-slice bookkeeping.
+    """
 
     def __init__(
         self,
@@ -1047,9 +1041,8 @@ class _Worker:
         schedule: tuple = (),
         attempt: int = 0,
         vectorized: str = "auto",
-        epoch_ctx: dict | None = None,
+        resume: EpochCheckpoint | None = None,
         send_retry: SendRetryPolicy | None = None,
-        run_deadline: float | None = None,
     ) -> None:
         self.me = worker_id
         self.spec = spec
@@ -1077,40 +1070,20 @@ class _Worker:
             if send_retry is not None
             else SendRetryPolicy(deadline_s=send_timeout_s)
         )
-        self.run_deadline = run_deadline
         self.breakers: dict[int, CircuitBreaker] = {}
         self.send_rng = random.Random(0x5EED ^ worker_id)
         self.mine: list[TaskRuntime] = [
             rt for rt in spec.tasks if self.owner[rt.task_id] == worker_id
         ]
-        self.epoch_ctx = epoch_ctx
-        self.slice_limit = (
-            max_events if epoch_ctx is None else epoch_ctx["limit"]
-        )
-        self.slice_final = True if epoch_ctx is None else epoch_ctx["final"]
-        # Shed directive for this slice (overload ladder, parent side):
-        # spout-side deterministic shedding keyed by the spout's
-        # cumulative tuple offset, so the decision stream is identical
-        # across slices, backends and replays.
-        shed_ctx = epoch_ctx.get("shed") if epoch_ctx is not None else None
-        if shed_ctx is not None:
-            self.shedder: Shedder | None = Shedder(
-                shed_ctx["mode"], shed_ctx["rate"], shed_ctx["seed"]
-            )
-            self.shedder.active = shed_ctx["active"]
-        else:
-            self.shedder = None
         self.injector = (
             FaultInjector(
                 tuple(schedule),
                 attempt,
                 tasks={rt.task_id for rt in self.mine},
-                # Relaunched epoch slices seed the per-task tuple counts so
-                # trigger offsets stay run-absolute and spent faults from
-                # earlier slices of this attempt never re-fire.
-                base_counts=(
-                    epoch_ctx.get("tick_base") if epoch_ctx else None
-                ),
+                # A pool restarted from a checkpoint seeds the per-task
+                # tuple counts so trigger offsets stay run-absolute and
+                # faults spent before the checkpoint never re-fire.
+                base_counts=resume.tick_counts() if resume else None,
             )
             if schedule
             else None
@@ -1132,11 +1105,12 @@ class _Worker:
             for edge in rt.out_edges
         }
         self.counters: dict[tuple[int, str], int] = defaultdict(int)
-        if epoch_ctx is not None and epoch_ctx.get("blob") is not None:
-            # Resume this worker's partition from the previous epoch's
-            # checkpoint: restore operator state, routing counters and
-            # cumulative per-task statistics.
-            payload = pickle.loads(epoch_ctx["blob"])
+        if resume is not None:
+            # A pool restarted from a committed checkpoint (Supervisor
+            # retry, placement-changing migration): restore this
+            # partition's operator state, routing counters and cumulative
+            # per-task statistics.
+            payload = resume.payload()
             for task_id, state in payload["states"].items():
                 if task_id in self.instances and state is not None:
                     self.instances[task_id].restore_state(state)
@@ -1144,10 +1118,9 @@ class _Worker:
             for task_id, stats in payload["stats"].items():
                 if task_id in self.stats:
                     self.stats[task_id] = stats
-        # Inbound bookkeeping: one stats block and backlog per in-edge of a
-        # local task.  Arrival mode queues (edge, tuples) per consumer in
+        # Inbound bookkeeping: depth and backlog per in-edge of a local
+        # task.  Arrival mode queues (edge, tuples) per consumer in
         # arrival order; ordered mode queues per edge.
-        self.edge_stats: dict[tuple[int, int], QueueStats] = {}
         self.edge_depth: dict[tuple[int, int], int] = {}
         self.edge_backlog: dict[tuple[int, int], deque] = {}
         self.arrival: dict[int, deque] = {}
@@ -1155,12 +1128,8 @@ class _Worker:
             self.arrival[rt.task_id] = deque()
             for edge in rt.in_edges:
                 key = (edge.producer, edge.consumer)
-                self.edge_stats[key] = QueueStats()
                 self.edge_depth[key] = 0
                 self.edge_backlog[key] = deque()
-        self.eof: set[tuple[int, int]] = set()
-        self.completed: set[int] = set()
-        self.events = 0
         self.max_events = max_events
         # A received batch refused hard admission, already decoded — kept
         # as (producer, consumer, payload) so a retry never re-decodes
@@ -1237,23 +1206,61 @@ class _Worker:
         }
         self.spout_produced: dict[int, int] = {t: 0 for t in self.spout_iters}
         self.exhausted_spouts: set[int] = set()
-        if epoch_ctx is not None:
-            for task_id in self.spout_produced:
-                self.spout_produced[task_id] = epoch_ctx["spout_produced"].get(
-                    task_id, 0
-                )
+        if resume is not None:
+            for task_id, iterator in self.spout_iters.items():
+                start = resume.spout_produced.get(task_id, 0)
+                self.spout_produced[task_id] = start
+                if fast_forward(iterator, start):
+                    self.exhausted_spouts.add(task_id)
+        # Worker-lifetime counters; each outcome reports their growth
+        # since the previous slice (see run()).
+        self.metrics: dict[str, Any] = defaultdict(float)
+        self.reported: dict[str, float] = {}
+        self.reported_faults: dict[str, float] = {}
+        self.begin_slice(max_events, True, None, dict(spec.edge_batch_size), None)
+
+    def begin_slice(
+        self,
+        limit: int,
+        final: bool,
+        shed: dict | None,
+        batches: dict[tuple[int, int], int],
+        deadline: float | None,
+    ) -> None:
+        """Arm the next slice: its bounds and fresh per-slice bookkeeping.
+
+        ``limit`` is the cumulative per-spout production bound; windowed
+        ``flush()`` runs only when ``final``.  ``deadline`` is the parent
+        watchdog's, so a stalled send cannot outlive ``timeout_s``.
+        """
+        self.slice_limit = limit
+        self.slice_final = final
+        self.run_deadline = deadline
+        # Shed directive for this slice (overload ladder, parent side):
+        # spout-side deterministic shedding keyed by the spout's
+        # cumulative tuple offset, so the decision stream is identical
+        # across slices, backends and replays.
+        self.shedder: Shedder | None = None
+        if shed is not None:
+            self.shedder = Shedder(shed["mode"], shed["rate"], shed["seed"])
+            self.shedder.active = shed["active"]
+        if batches != self.spec.edge_batch_size:
+            # The AIMD controller resized edges at the barrier, where
+            # every output buffer is empty.
+            self.spec = dc_replace(self.spec, edge_batch_size=batches)
+            for key, buffer in self.buffers.items():
+                buffer.batch_size = self.spec.batch_for(key)
+        self.eof: set[tuple[int, int]] = set()
+        self.completed: set[int] = set()
+        self.events = 0
         # Per-spout production at slice start: events this worker reports
         # are the slice delta (the parent accumulates across slices).
         self.spout_start: dict[int, int] = dict(self.spout_produced)
-        for task_id, start in self.spout_start.items():
-            # Deterministic seeded sources replay to the resume position
-            # by re-drawing (and discarding) the committed prefix.
-            iterator = self.spout_iters[task_id]
-            for _ in range(start):
-                if next(iterator, None) is None:
-                    self.exhausted_spouts.add(task_id)
-                    break
-        self.metrics: dict[str, Any] = defaultdict(float)
+        # Per-slice queue-stat windows: the overload and AIMD controllers
+        # read them as-is, and the parent folds them into run totals.
+        self.edge_stats: dict[tuple[int, int], QueueStats] = {
+            key: QueueStats() for key in self.edge_depth
+        }
 
     # ------------------------------------------------------------------
     # Liveness
@@ -1311,6 +1318,7 @@ class _Worker:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> tuple:
+        """Run the armed slice to its per-edge EOF drain; its outcome."""
         started = perf_counter()
         idle_s = 0.0
         idle_since: float | None = None
@@ -1332,55 +1340,49 @@ class _Worker:
                 idle_s += _IDLE_SLEEP_S
             else:
                 idle_since = None
-        wall_s = max(perf_counter() - started, 1e-9)
-        self.metrics["busy_fraction"] = max(0.0, 1.0 - idle_s / wall_s)
-        self.metrics["wall_ns"] = wall_s * 1e9
-        for key, value in self.channel.snapshot_metrics().items():
-            self.metrics[key] += value
+        self.metrics["wall_ns"] += max(perf_counter() - started, 1e-9) * 1e9
+        self.metrics["idle_ns"] += idle_s * 1e9
+        totals = {**self.metrics, **self.channel.snapshot_metrics()}
+        if self.breakers:
+            totals["send_breaker_opens"] = float(
+                sum(b.opens for b in self.breakers.values())
+            )
+            totals["send_breaker_probes"] = float(
+                sum(b.probes for b in self.breakers.values())
+            )
+        # Slice windows, not running totals: the parent sums them into
+        # the run's counters and feeds them to its controllers as-is.
+        metrics: dict[str, Any] = _delta(totals, self.reported)
+        self.reported = totals
         if self.injector is not None:
-            self.metrics["fault_summary"] = self.injector.summary()
+            summary = self.injector.summary()
+            metrics["fault_summary"] = _delta(summary, self.reported_faults)
+            self.reported_faults = summary
         if self.shedder is not None:
             # Per-slice shed accounting; the parent folds every worker's
             # snapshot into the run-level OverloadReport.
-            self.metrics["overload_shed"] = self.shedder.snapshot()
-        if self.breakers:
-            self.metrics["send_breaker_opens"] = float(
-                sum(b.opens for b in self.breakers.values())
-            )
-            self.metrics["send_breaker_probes"] = float(
-                sum(b.probes for b in self.breakers.values())
-            )
-        if self.epoch_ctx is not None:
-            # Barrier payload: this worker's share of the epoch snapshot.
-            # The parent unions the shares and seals them as the
-            # EpochCheckpoint once every worker has reported.
-            self.metrics["epoch"] = {
-                "states": {
-                    task_id: instance.snapshot_state()
-                    for task_id, instance in self.instances.items()
-                    if isinstance(instance, Operator)
-                },
-                "counters": dict(self.counters),
-                "spout_produced": dict(self.spout_produced),
-                "exhausted": sorted(self.exhausted_spouts),
+            metrics["overload_shed"] = self.shedder.snapshot()
+        # Barrier payload: this worker's share of the epoch snapshot.  The
+        # parent unions the shares and seals them as the EpochCheckpoint
+        # once every worker has reported (a final slice commits nothing).
+        metrics["epoch"] = {
+            "spout_produced": dict(self.spout_produced),
+            "exhausted": sorted(self.exhausted_spouts),
+        }
+        if not self.slice_final:
+            metrics["epoch"]["states"] = {
+                task_id: instance.snapshot_state()
+                for task_id, instance in self.instances.items()
+                if isinstance(instance, Operator)
             }
+            metrics["epoch"]["counters"] = dict(self.counters)
         sinks = {
             rt.task_id: self.instances[rt.task_id]
             for rt in self.mine
             if isinstance(self.instances[rt.task_id], Sink)
         }
         self._beat()
-        # Plain dict for pickling; defaultdict factory is module-level safe
-        # anyway, but the result payload should be inert.
-        return (
-            "ok",
-            self.me,
-            self.events,
-            self.stats,
-            sinks,
-            self.edge_stats,
-            dict(self.metrics),
-        )
+        return ("ok", self.me, self.events, self.stats, sinks, self.edge_stats, metrics)
 
     # ------------------------------------------------------------------
     # Receiving

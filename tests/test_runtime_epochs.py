@@ -11,13 +11,16 @@ change results).  See docs/reconfiguration.md.
 
 from collections import Counter as Multiset
 from dataclasses import replace as dc_replace
+from multiprocessing.process import BaseProcess
 
 import pytest
 
 from repro.apps import load_application
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
+from repro.metrics.registry import MetricsRegistry
 from repro.runtime import EpochConfig, FaultPlan, Migration, check_serializable
+from repro.runtime.batching import AdaptiveBatchController
 
 EVENTS = 300
 INTERVAL = 100
@@ -101,7 +104,7 @@ class TestEpochParityInline:
 
 
 class TestEpochParityProcess:
-    """Per-epoch pool relaunch produces the same totals."""
+    """Barriers between slices of one live worker pool change nothing."""
 
     def test_process_backend_matches_inline(self, baselines):
         result = build_engine(
@@ -195,3 +198,138 @@ class TestResumeFromEpoch:
         baseline = baselines["wc"]
         assert resumed.sink_received() == baseline.sink_received()
         assert sink_multiset(resumed) == sink_multiset(baseline)
+
+
+@pytest.fixture()
+def process_starts(monkeypatch):
+    """Count ``Process.start`` calls made by the parent."""
+    started = []
+    start = BaseProcess.start
+
+    def counted(process):
+        started.append(process.name)
+        return start(process)
+
+    monkeypatch.setattr(BaseProcess, "start", counted)
+    return started
+
+
+def counters_of(registry):
+    return registry.snapshot()["counters"]
+
+
+class TestPersistentProcessPool:
+    """One worker pool per run: slices are commands to live workers."""
+
+    def test_pool_starts_once_per_run(self, process_starts):
+        result = build_engine(
+            "wc", backend="process", n_workers=2, epoch_interval=500
+        ).run(2_000)
+        assert result.epochs.committed == 3
+        assert len(process_starts) == 2
+
+    def test_registry_counters_cover_every_slice(self):
+        def run(epoch_interval):
+            registry = MetricsRegistry()
+            topology, _ = load_application("lr")
+            result = LocalEngine(
+                topology,
+                backend="process",
+                n_workers=2,
+                dataplane="shm",
+                fuse="auto",
+                epoch_interval=epoch_interval,
+                registry=registry,
+            ).run(2_000)
+            return result, counters_of(registry)
+
+        plain, plain_counters = run(None)
+        sliced, sliced_counters = run(500)
+        assert sliced.epochs.committed == 3
+        assert plain_counters["runtime.fusion.composed_tuples"] > 0
+        for name in (
+            "runtime.fusion.composed_tuples",
+            "runtime.vectorized.tuples",
+            "engine.run.events_ingested",
+            "engine.run.sink_received",
+        ):
+            assert sliced_counters[name] == plain_counters[name], name
+
+    def test_slice_windows_sum_to_run_totals(self, monkeypatch):
+        windows = []
+        observe = AdaptiveBatchController.observe_window
+
+        def recording(controller, window, pressure):
+            windows.append(dict(window))
+            return observe(controller, window, pressure)
+
+        monkeypatch.setattr(AdaptiveBatchController, "observe_window", recording)
+        registry = MetricsRegistry()
+        build_engine(
+            "wc",
+            backend="process",
+            n_workers=2,
+            epoch_interval=INTERVAL,
+            adaptive_batch=True,
+            registry=registry,
+        ).run(EVENTS)
+        assert len(windows) == EVENTS // INTERVAL
+        counters = counters_of(registry)
+        for key in windows[0]:
+            prefix = f"engine.queue.{key[0]}-{key[1]}"
+            batches = sum(window[key][0] for window in windows)
+            tuples = sum(window[key][1] for window in windows)
+            assert batches == counters[f"{prefix}.enqueued_batches"]
+            assert tuples == counters[f"{prefix}.enqueued_tuples"]
+
+    def test_crash_in_late_slice_resumes_from_last_commit(self, baselines):
+        # The spout's 350th tuple falls in slice 3: offsets count from
+        # the run start although the injector now outlives each slice.
+        result = build_engine(
+            "wc",
+            backend="process",
+            n_workers=2,
+            epoch_interval=INTERVAL,
+            fault_plan=FaultPlan(
+                seed=3, kinds=("crash",), target="spout", at_tuple=350
+            ),
+            recovery_policy="retry",
+        ).run(2 * EVENTS)
+        assert result.recovery.completed is True
+        assert result.recovery.restarts == 1
+        assert result.recovery.resumed_from_epoch == 2
+        assert result.epochs.resumed_from == 2
+        reference = build_engine("wc").run(2 * EVENTS)
+        assert result.sink_received() == reference.sink_received()
+        assert sink_multiset(result) == sink_multiset(reference)
+
+    def test_migration_restarts_pool_from_checkpoint(
+        self, baselines, process_starts
+    ):
+        def split_sockets(commit):
+            if commit.epoch != 1:
+                return None
+            spec = dc_replace(
+                commit.spec,
+                tasks=tuple(
+                    dc_replace(rt, socket=rt.task_id % 2)
+                    for rt in commit.spec.tasks
+                ),
+            )
+            moved = tuple(rt.task_id for rt in spec.tasks if rt.socket)
+            return Migration(spec=spec, moved=moved, detail="test split")
+
+        engine = build_engine("wc", backend="process", n_workers=2)
+        result = engine.backend.execute(
+            engine.spec,
+            EVENTS,
+            engine.registry,
+            epochs=EpochConfig(interval=INTERVAL),
+            on_epoch=split_sockets,
+        )
+        assert result.epochs.migrations == 1
+        # The first pool, then the re-partitioned one.
+        assert len(process_starts) == 4
+        baseline = baselines["wc"]
+        assert result.sink_received() == baseline.sink_received()
+        assert sink_multiset(result) == sink_multiset(baseline)
