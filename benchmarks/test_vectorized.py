@@ -4,18 +4,22 @@ Same lowering, same process-pool backend, same shm data plane, same
 worker count — the only variable is whether sealed batches stay columnar
 through the operators (``--vectorized on``: numpy kernels via
 ``Operator.process_columns``) or burst back to per-tuple ``process()``
-calls (``--vectorized off``).  Word Count with every component at
-replication 1 keeps each route single-consumer, so batches ride the
-columnar path end-to-end: decoded as zero-copy views off the ring,
-processed by the unique-counts kernel, re-packed without ever
-materialising tuples (docs/vectorized.md).
+calls (``--vectorized off``).  Batches ride the columnar path
+end-to-end: decoded as zero-copy views off the ring, processed by the
+unique-counts kernel, partitioned by each route's grouping and re-packed
+per edge without ever materialising tuples (docs/vectorized.md).
 
-Two measurements, recorded together in ``BENCH_vectorized.json``:
+Three measurements, recorded together in ``BENCH_vectorized.json``:
 
-* **end-to-end** — WC on both modes: wall time, tuples/second and the
-  ``runtime.vectorized.*`` counters each run reported.  The ``on`` run
-  must vectorize (batches > 0, fallbacks == 0) and the ``off`` run must
-  not (all counters zero).
+* **end-to-end** — WC with every component at replication 1 on both
+  modes: wall time, tuples/second and the ``runtime.vectorized.*``
+  counters each run reported.  The ``on`` run must vectorize (batches >
+  0, fallbacks == 0) and the ``off`` run must not (all counters zero).
+* **fan-out** (``data["fanout"]``) — the same comparison with
+  replication 1/2/2/2/1, so the parser, splitter and counter routes are
+  multi-consumer shuffle and fields edges partitioned in one vectorized
+  step per batch and coalesced per edge.  Same counter assertions and
+  the same floor.
 * **parity** — the full matrix of 4 apps x {inline, process+pickle,
   process+shm} x {off, on}: every cell pair must ingest the same events
   and deliver bit-identical sink multisets and per-task counters.  The
@@ -98,11 +102,24 @@ def _vectorized_counters(registry: MetricsRegistry) -> dict[str, int]:
     }
 
 
-def _timed_wc(vectorized: str, registry: MetricsRegistry | None = None):
-    # Replication 1 everywhere keeps every route single-consumer: the
-    # whole pipeline stays columnar instead of bursting at fan-out.
+#: The fan-out case: multi-consumer shuffle and fields routes.
+FANOUT_REPLICATION = {
+    "spout": 1,
+    "parser": 2,
+    "splitter": 2,
+    "counter": 2,
+    "sink": 1,
+}
+
+
+def _timed_wc(
+    vectorized: str,
+    registry: MetricsRegistry | None = None,
+    replication: dict | None = None,
+):
     engine = LocalEngine(
         _topology("wc", keep_samples=0),
+        replication=replication,
         registry=registry,
         backend=ProcessPoolBackend(
             n_workers=WORKERS, dataplane="shm", vectorized=vectorized
@@ -180,6 +197,48 @@ def _parity_matrix() -> dict:
     return matrix
 
 
+def _compare_modes(replication: dict | None) -> dict:
+    """WC scalar vs kernels at one replication: the artefact's
+    ``scalar``/``vectorized``/``speedup`` entries."""
+    # Warm import/fork/allocation paths once per mode.
+    _timed_wc("off", replication=replication)
+    _timed_wc("on", replication=replication)
+
+    off_registry = MetricsRegistry()
+    off_s, off_result = _timed_wc("off", off_registry, replication)
+    on_registry = MetricsRegistry()
+    on_s, on_result = _timed_wc("on", on_registry, replication)
+
+    # Kernels may only change speed, never results.
+    assert on_result.events_ingested == off_result.events_ingested
+    assert on_result.sink_received() == off_result.sink_received()
+
+    off_counters = _vectorized_counters(off_registry)
+    on_counters = _vectorized_counters(on_registry)
+    assert all(v == 0 for v in off_counters.values())
+    # WC's schemas are fully columnar and every grouping partitions
+    # columnar: the kernels must not be falling back anywhere on the
+    # forced-on run, fan-out or not.
+    assert on_counters["batches"] > 0
+    assert on_counters["tuples"] > 0
+    assert on_counters["fallbacks"] == 0
+
+    tuples_delivered = off_result.sink_received()
+    return {
+        "scalar": {
+            "wall_s": off_s,
+            "tuples_per_s": tuples_delivered / off_s,
+            "vectorized": off_counters,
+        },
+        "vectorized": {
+            "wall_s": on_s,
+            "tuples_per_s": tuples_delivered / on_s,
+            "vectorized": on_counters,
+        },
+        "speedup": off_s / on_s if on_s > 0 else 0.0,
+    }
+
+
 def test_vectorized_throughput():
     if not columns_available():
         pytest.skip("numpy unavailable")
@@ -189,45 +248,40 @@ def test_vectorized_throughput():
 
     parity = _parity_matrix()
 
-    # Warm import/fork/allocation paths once per mode.
-    _timed_wc("off")
-    _timed_wc("on")
-
-    off_registry = MetricsRegistry()
-    off_s, off_result = _timed_wc("off", off_registry)
-    on_registry = MetricsRegistry()
-    on_s, on_result = _timed_wc("on", on_registry)
-
-    # Kernels may only change speed, never results.
-    assert on_result.events_ingested == off_result.events_ingested
-    assert on_result.sink_received() == off_result.sink_received()
-
-    off_counters = _vectorized_counters(off_registry)
-    on_counters = _vectorized_counters(on_registry)
-    assert all(v == 0 for v in off_counters.values())
-    # WC's schemas are fully columnar: the kernels must not be falling
-    # back anywhere on the forced-on run.
-    assert on_counters["batches"] > 0
-    assert on_counters["tuples"] > 0
-    assert on_counters["fallbacks"] == 0
-
-    tuples_delivered = off_result.sink_received()
-    off_tps = tuples_delivered / off_s
-    on_tps = tuples_delivered / on_s
-    speedup = off_s / on_s if on_s > 0 else 0.0
+    single = _compare_modes(replication=None)
+    fanout = _compare_modes(replication=FANOUT_REPLICATION)
 
     rows = [
-        ["off (scalar)", f"{off_s:.3f}", f"{off_tps:,.0f}", "0", "1.00"],
-        [
-            "on (kernels)",
-            f"{on_s:.3f}",
-            f"{on_tps:,.0f}",
-            f"{on_counters['batches']:,}",
-            f"{speedup:.2f}",
-        ],
+        row
+        for label, case in (("1/1/1/1/1", single), ("1/2/2/2/1", fanout))
+        for row in (
+            [
+                label,
+                "off (scalar)",
+                f"{case['scalar']['wall_s']:.3f}",
+                f"{case['scalar']['tuples_per_s']:,.0f}",
+                "0",
+                "1.00",
+            ],
+            [
+                label,
+                "on (kernels)",
+                f"{case['vectorized']['wall_s']:.3f}",
+                f"{case['vectorized']['tuples_per_s']:,.0f}",
+                f"{case['vectorized']['vectorized']['batches']:,}",
+                f"{case['speedup']:.2f}",
+            ],
+        )
     ]
     text = format_table(
-        ["vectorized", "wall s", "tuples/s", "kernel batches", "speedup"],
+        [
+            "replication",
+            "vectorized",
+            "wall s",
+            "tuples/s",
+            "kernel batches",
+            "speedup",
+        ],
         rows,
         title=(
             f"Vectorized execution — WC, shm plane, {WORKERS} workers, "
@@ -244,17 +298,8 @@ def test_vectorized_throughput():
             "workers": WORKERS,
             "cores": cores,
             "dataplane": "shm",
-            "scalar": {
-                "wall_s": off_s,
-                "tuples_per_s": off_tps,
-                "vectorized": off_counters,
-            },
-            "vectorized": {
-                "wall_s": on_s,
-                "tuples_per_s": on_tps,
-                "vectorized": on_counters,
-            },
-            "speedup": speedup,
+            **single,
+            "fanout": {"replication": FANOUT_REPLICATION, **fanout},
             "parity": {
                 "events": PARITY_EVENTS,
                 "matrix": parity,
@@ -263,7 +308,8 @@ def test_vectorized_throughput():
     )
 
     if cores >= 2:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"vectorized speedup {speedup:.2f}x below {SPEEDUP_FLOOR}x "
-            f"on {cores} cores"
-        )
+        for label, case in (("replication 1", single), ("fan-out", fanout)):
+            assert case["speedup"] >= SPEEDUP_FLOOR, (
+                f"{label} vectorized speedup {case['speedup']:.2f}x below "
+                f"{SPEEDUP_FLOOR}x on {cores} cores"
+            )

@@ -5,6 +5,11 @@ tuple a producer replica emits, which consumer replica receives it.  The
 strategies mirror Storm's groupings, which BriskStream adopts (Appendix A:
 "partition controller ... according to application specified partition
 strategies such as shuffle partitioning").
+
+Every grouping routes one tuple (:meth:`Grouping.route`) or partitions a
+whole columnar batch in one vectorized step (:meth:`Grouping.partition`);
+the two are equivalent row for row, which ``tests/test_partition.py``
+checks property-based.
 """
 
 from __future__ import annotations
@@ -12,10 +17,30 @@ from __future__ import annotations
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.dsps.tuples import DEFAULT_STREAM, StreamTuple
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - runtime imports dsps, not vice versa
+    from repro.runtime.dataplane.columns import ColumnBatch
+
+
+def key_digest(key: tuple) -> int:
+    """The fields-grouping hash of one key tuple.
+
+    ``crc32`` of the key's ``repr`` is stable across processes and
+    ``PYTHONHASHSEED`` values; keys must be pure-Python values (the
+    ``repr`` of an ``np.int64`` differs from that of an ``int``).
+    """
+    return zlib.crc32(repr(key).encode("utf-8"))
+
+
+#: A fields grouping drops its memoized digests past this many keys, so a
+#: stream of ever-new keys cannot grow them without bound.
+_MEMO_LIMIT = 1 << 16
 
 
 class Grouping(ABC):
@@ -39,6 +64,23 @@ class Grouping(ABC):
             strategies.
         """
 
+    def partition(
+        self, batch: "ColumnBatch", n_consumers: int, counter: int
+    ) -> list[np.ndarray]:
+        """Partition a columnar batch: the row indices each consumer
+        replica receives, in batch order.
+
+        Row ``i`` routes with counter ``counter + i``, exactly as the
+        per-tuple router would.  This default bursts the batch and calls
+        :meth:`route` per row, so a user-defined grouping is correct
+        without a vectorized override.
+        """
+        rows: list[list[int]] = [[] for _ in range(n_consumers)]
+        for offset, item in enumerate(batch.to_tuples()):
+            for index in self.route(item, n_consumers, counter + offset):
+                rows[index].append(offset)
+        return [np.asarray(indices, dtype=np.intp) for indices in rows]
+
     def fan_out(self, n_consumers: int) -> float:
         """Average number of consumer replicas receiving each tuple."""
         return 1.0
@@ -60,6 +102,16 @@ class ShuffleGrouping(Grouping):
     def route(self, item: StreamTuple, n_consumers: int, counter: int) -> list[int]:
         return [counter % n_consumers]
 
+    def partition(
+        self, batch: "ColumnBatch", n_consumers: int, counter: int
+    ) -> list[np.ndarray]:
+        # Consumer c takes every row r with (counter + r) % n == c.
+        rows = len(batch)
+        return [
+            np.arange((index - counter) % n_consumers, rows, n_consumers)
+            for index in range(n_consumers)
+        ]
+
 
 class FieldsGrouping(Grouping):
     """Hash-partition on key fields: same key -> same consumer replica."""
@@ -68,6 +120,9 @@ class FieldsGrouping(Grouping):
         if not key_fields:
             raise TopologyError("fields grouping needs at least one key field")
         self.key_fields = tuple(key_fields)
+        # Digest memo per key-column typecodes: within one typecode
+        # string, equal keys have equal reprs (True == 1 would not).
+        self._memo: dict[str, dict] = {}
 
     def route(self, item: StreamTuple, n_consumers: int, counter: int) -> list[int]:
         try:
@@ -76,8 +131,53 @@ class FieldsGrouping(Grouping):
             raise TopologyError(
                 f"tuple {item.values!r} lacks key fields {self.key_fields}"
             ) from exc
-        digest = zlib.crc32(repr(key).encode("utf-8"))
-        return [digest % n_consumers]
+        return [key_digest(key) % n_consumers]
+
+    def partition(
+        self, batch: "ColumnBatch", n_consumers: int, counter: int
+    ) -> list[np.ndarray]:
+        """Hash each distinct key once, memoized across batches (float
+        keys excepted); a dictionary-coded key is first reduced to its
+        distinct codes with ``np.unique``."""
+        if len(batch) == 0:
+            return [np.empty(0, dtype=np.intp) for _ in range(n_consumers)]
+        try:
+            columns = [batch.columns[f] for f in self.key_fields]
+            codes = "".join(batch.schema[f] for f in self.key_fields)
+        except IndexError as exc:
+            raise TopologyError(
+                f"batch schema {batch.schema!r} lacks key fields "
+                f"{self.key_fields}"
+            ) from exc
+        if codes == "D":
+            column = columns[0]
+            distinct, inverse = np.unique(column.codes, return_inverse=True)
+            table = column.table
+            keys = [(table[code],) for code in distinct.tolist()]
+            digests = np.asarray(self._digests(codes, keys))[inverse]
+        else:
+            values = [
+                column if isinstance(column, list) else column.tolist()
+                for column in columns
+            ]
+            digests = np.asarray(self._digests(codes, zip(*values)))
+        dest = digests % n_consumers
+        return [np.flatnonzero(dest == index) for index in range(n_consumers)]
+
+    def _digests(self, codes: str, keys) -> list[int]:
+        """:func:`key_digest` of each key, memoized per key typecodes."""
+        if "d" in codes:  # 0.0 == -0.0, but their reprs differ
+            return [key_digest(key) for key in keys]
+        memo = self._memo.get(codes)
+        if memo is None or len(memo) > _MEMO_LIMIT:
+            memo = self._memo[codes] = {}
+        digests = []
+        for key in keys:
+            digest = memo.get(key)
+            if digest is None:
+                digest = memo[key] = key_digest(key)
+            digests.append(digest)
+        return digests
 
 
 class BroadcastGrouping(Grouping):
@@ -87,6 +187,11 @@ class BroadcastGrouping(Grouping):
 
     def route(self, item: StreamTuple, n_consumers: int, counter: int) -> list[int]:
         return list(range(n_consumers))
+
+    def partition(
+        self, batch: "ColumnBatch", n_consumers: int, counter: int
+    ) -> list[np.ndarray]:
+        return [np.arange(len(batch))] * n_consumers
 
     def fan_out(self, n_consumers: int) -> float:
         return float(n_consumers)
@@ -100,6 +205,12 @@ class GlobalGrouping(Grouping):
 
     def route(self, item: StreamTuple, n_consumers: int, counter: int) -> list[int]:
         return [0]
+
+    def partition(
+        self, batch: "ColumnBatch", n_consumers: int, counter: int
+    ) -> list[np.ndarray]:
+        none = np.empty(0, dtype=np.intp)
+        return [np.arange(len(batch))] + [none] * (n_consumers - 1)
 
     def rate_share(self, consumer_index: int, n_consumers: int) -> float:
         return 1.0 if consumer_index == 0 else 0.0

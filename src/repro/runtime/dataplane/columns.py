@@ -27,7 +27,7 @@ scalar path instead.  Correctness never depends on a batch qualifying.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 try:  # numpy is required for columnar execution, not for the engine.
     import numpy as np
@@ -415,14 +415,9 @@ class ColumnBatch:
             )
         self.event_times = times
 
-    def chunks(self, size: int) -> Iterator["ColumnBatch"]:
-        """Split into dispatch-sized slices (numpy views, zero copies)."""
-        n = len(self)
-        if n <= size:
-            yield self
-            return
-        for start in range(0, n, size):
-            yield self._slice(start, min(start + size, n))
+    def split(self, rows: int) -> tuple["ColumnBatch", "ColumnBatch"]:
+        """The first ``rows`` rows and the rest (numpy views, zero copies)."""
+        return self._slice(0, rows), self._slice(rows, len(self))
 
     def _slice(self, a: int, b: int) -> "ColumnBatch":
         return ColumnBatch(
@@ -432,6 +427,75 @@ class ColumnBatch:
             None if self.event_times is None else self.event_times[a:b],
             [column[a:b] for column in self.columns],
             _tuples=None if self._tuples is None else self._tuples[a:b],
+        )
+
+    def select(self, rows) -> "ColumnBatch":
+        """The rows at ``rows`` (indices in batch order, as a grouping's
+        :meth:`~repro.dsps.streams.Grouping.partition` returns them);
+        ``self`` when they are every row, once each, in order."""
+        n = len(self)
+        if len(rows) == n and (
+            n == 0 or (rows[0] == 0 and not (np.diff(rows) - 1).any())
+        ):
+            return self
+        return ColumnBatch(
+            self.stream,
+            self.source_task,
+            self.schema,
+            None if self.event_times is None else self.event_times[rows],
+            [take(column, rows) for column in self.columns],
+            _tuples=(
+                None
+                if self._tuples is None
+                else [self._tuples[i] for i in rows]
+            ),
+        )
+
+    def joins(self, other: "ColumnBatch") -> bool:
+        """True when :meth:`concat` may append ``other`` to this batch:
+        same stream, source and schema, and every dictionary column
+        shares its decode table (codes into different tables do not mix).
+        """
+        return (
+            self.stream == other.stream
+            and self.source_task == other.source_task
+            and self.schema == other.schema
+            and all(
+                mine.table is theirs.table
+                for code, mine, theirs in zip(
+                    self.schema, self.columns, other.columns
+                )
+                if code == DICT_TYPECODE
+            )
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """One batch holding ``batches``' rows in order; they must pairwise
+        :meth:`joins` (checked by the caller) and carry event times."""
+        if len(batches) == 1:
+            return batches[0]
+        first = batches[0]
+        columns: list = []
+        for position, code in enumerate(first.schema):
+            parts = [batch.columns[position] for batch in batches]
+            if code == DICT_TYPECODE:
+                columns.append(
+                    DictColumn(
+                        np.concatenate([part.codes for part in parts]),
+                        parts[0].table,
+                    )
+                )
+            elif isinstance(parts[0], list):
+                columns.append([value for part in parts for value in part])
+            else:
+                columns.append(np.concatenate(parts))
+        return cls(
+            first.stream,
+            first.source_task,
+            first.schema,
+            np.concatenate([batch.event_times for batch in batches]),
+            columns,
         )
 
     # ------------------------------------------------------------------

@@ -1017,6 +1017,34 @@ def _delta(totals: Mapping[str, float], reported: Mapping[str, float]) -> dict:
     return {key: value - reported.get(key, 0.0) for key, value in totals.items()}
 
 
+class _ColumnBuffer:
+    """One edge's pending columnar rows, in arrival order."""
+
+    __slots__ = ("pieces", "rows")
+
+    def __init__(self) -> None:
+        self.pieces: deque[ColumnBatch] = deque()
+        self.rows = 0
+
+    def add(self, piece: "ColumnBatch") -> None:
+        self.pieces.append(piece)
+        self.rows += len(piece)
+
+    def take(self, size: int) -> "ColumnBatch":
+        """Remove the first ``size`` pending rows as one batch."""
+        taken = []
+        need = size
+        while need:
+            piece = self.pieces.popleft()
+            if len(piece) > need:
+                piece, rest = piece.split(need)
+                self.pieces.appendleft(rest)
+            taken.append(piece)
+            need -= len(piece)
+        self.rows -= size
+        return ColumnBatch.concat(taken)
+
+
 class _Worker:
     """One worker process: runs its task partition, one slice per command.
 
@@ -1104,6 +1132,10 @@ class _Worker:
             for rt in self.mine
             for edge in rt.out_edges
         }
+        # Columnar twin of ``buffers``: pending kernel-output rows per
+        # edge, present only while non-empty.  An edge never has pending
+        # rows on both sides at once.
+        self.column_buffers: dict[tuple[int, int], _ColumnBuffer] = {}
         self.counters: dict[tuple[int, str], int] = defaultdict(int)
         if resume is not None:
             # A pool restarted from a committed checkpoint (Supervisor
@@ -1627,46 +1659,76 @@ class _Worker:
                 getattr(self.instances[rt.task_id], "sheddable", None),
             ):
                 continue
-            sealed = self.buffers[(rt.task_id, consumer)].append(item)
+            edge = (rt.task_id, consumer)
+            if edge in self.column_buffers:
+                self._flush_columns(edge)  # per-edge FIFO
+            sealed = self.buffers[edge].append(item)
             if sealed is not None:
                 self._dispatch(rt.task_id, consumer, sealed.tuples)
 
     def _route_columns(self, rt: TaskRuntime, out: "ColumnBatch") -> None:
         """Route one columnar output batch to its downstream edges.
 
-        Single-consumer routes keep the batch columnar: every grouping
-        maps to replica 0 when there is only one consumer, so the whole
-        batch goes to the same edge and the per-route counter advances by
-        ``len(out)`` exactly as the scalar loop would.  The edge's pending
-        scalar buffer is flushed first so per-edge FIFO order is
-        preserved.  Multi-consumer routes burst back to tuples and reuse
-        the scalar grouping discipline unchanged.
+        Each route's grouping partitions the batch in one vectorized step
+        (``Grouping.partition``, row-for-row equivalent to the scalar
+        router), and the per-route counter advances by ``len(out)``
+        exactly as the scalar loop would.  Every consumer's rows join
+        that edge's columnar jumbo buffer.
         """
-        burst: list[StreamTuple] | None = None
         for route in rt.routes:
             if route.stream != out.stream:
                 continue
-            if len(route.consumers) == 1:
-                consumer = route.consumers[0]
-                self.counters[(rt.task_id, route.counter_key)] += len(out)
-                sealed = self.buffers[(rt.task_id, consumer)].flush()
-                if sealed is not None:
-                    self._dispatch(rt.task_id, consumer, sealed.tuples)
-                for chunk in out.chunks(
-                    self.spec.batch_for((rt.task_id, consumer))
-                ):
-                    self._dispatch_columns(rt.task_id, consumer, chunk)
-            else:
-                if burst is None:
-                    burst = out.to_tuples()
-                for item in burst:
-                    self._route_one(rt, route, item)
+            key = (rt.task_id, route.counter_key)
+            parts = route.grouping.partition(
+                out, len(route.consumers), self.counters[key]
+            )
+            self.counters[key] += len(out)
+            for consumer, rows in zip(route.consumers, parts):
+                if len(rows):
+                    self._append_columns(rt.task_id, consumer, out.select(rows))
+
+    def _append_columns(
+        self, producer: int, consumer: int, piece: "ColumnBatch"
+    ) -> None:
+        """Buffer columnar rows for one edge, dispatching every full
+        jumbo batch of exactly ``batch_for(edge)`` rows.
+
+        The edge's pending scalar tuples go first (per-edge FIFO), and
+        pending rows that ``piece`` cannot join (another schema, or a
+        dictionary column over a different decode table) are sealed
+        short rather than mixed.
+        """
+        key = (producer, consumer)
+        sealed = self.buffers[key].flush()
+        if sealed is not None:
+            self._dispatch(producer, consumer, sealed.tuples)
+        pending = self.column_buffers.get(key)
+        if pending is not None and not pending.pieces[0].joins(piece):
+            self._flush_columns(key)
+            pending = None
+        if pending is None:
+            pending = self.column_buffers[key] = _ColumnBuffer()
+        pending.add(piece)
+        # Read per append: AIMD resizes edges at barriers.
+        size = self.spec.batch_for(key)
+        while pending.rows >= size:
+            self._dispatch_columns(producer, consumer, pending.take(size))
+        if not pending.rows:
+            del self.column_buffers[key]
+
+    def _flush_columns(self, key: tuple[int, int]) -> None:
+        """Seal one edge's pending columnar rows, however few."""
+        pending = self.column_buffers.pop(key, None)
+        if pending is not None:
+            self._dispatch_columns(*key, pending.take(pending.rows))
 
     def _flush_task(self, rt: TaskRuntime) -> None:
         for edge in rt.out_edges:
-            sealed = self.buffers[(edge.producer, edge.consumer)].flush()
+            key = (edge.producer, edge.consumer)
+            sealed = self.buffers[key].flush()
             if sealed is not None:
                 self._dispatch(edge.producer, edge.consumer, sealed.tuples)
+            self._flush_columns(key)
         for edge in rt.out_edges:
             self._send_eof(edge.producer, edge.consumer)
         self.completed.add(rt.task_id)

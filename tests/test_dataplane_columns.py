@@ -193,19 +193,42 @@ class TestBuildAndLineage:
 
 
 class TestChunksAndAccounting:
-    def test_chunks_are_views_covering_all_rows(self):
+    def test_split_is_views_and_concat_restores_the_rows(self):
         batch = ColumnBatch.from_tuples(
             make_tuples([(i, f"w{i}") for i in range(10)])
         )
-        chunks = list(batch.chunks(4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert np.shares_memory(chunks[0].columns[0], batch.columns[0])
-        rebuilt = [v for c in chunks for v in c.columns[0].tolist()]
-        assert rebuilt == batch.columns[0].tolist()
+        head, tail = batch.split(4)
+        assert [len(head), len(tail)] == [4, 6]
+        assert np.shares_memory(head.columns[0], batch.columns[0])
+        assert head.joins(tail)
+        rebuilt = ColumnBatch.concat([head, tail])
+        assert rebuilt.to_tuples() == batch.to_tuples()
 
-    def test_small_batch_chunks_to_itself(self):
-        batch = ColumnBatch.from_tuples(make_tuples([(1,)]))
-        assert list(batch.chunks(64)) == [batch]
+    def test_select_of_every_row_is_itself(self):
+        batch = ColumnBatch.from_tuples(make_tuples([(1,), (2,), (3,)]))
+        assert batch.select(np.arange(3)) is batch
+        picked = batch.select(np.array([0, 2]))
+        assert [t.values for t in picked.to_tuples()] == [(1,), (3,)]
+        assert picked.event_times.tolist() == [0.0, 2.0]
+        twice = batch.select(np.array([0, 0, 2]))
+        assert [t.values for t in twice.to_tuples()] == [(1,), (1,), (3,)]
+
+    def test_dict_columns_join_only_over_one_table(self):
+        def coded(table):
+            batch = ColumnBatch.build(
+                "default", "s", [DictColumn([0, 1], table)]
+            )
+            batch.event_times = np.zeros(2)
+            return batch
+
+        table = ["a", "b"]
+        first, second = coded(table), coded(table)
+        assert first.joins(second)
+        joined = ColumnBatch.concat([first, second])
+        assert joined.schema == "D"
+        assert joined.columns[0].table is table
+        assert joined.columns[0].tolist() == ["a", "b", "a", "b"]
+        assert not first.joins(coded(["a", "b"]))  # equal, not the same
 
     def test_payload_bytes_matches_per_tuple_accounting(self):
         original = make_tuples(MIXED_ROWS)

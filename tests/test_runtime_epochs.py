@@ -9,17 +9,28 @@ live migration (moving tasks between sockets at a barrier does not
 change results).  See docs/reconfiguration.md.
 """
 
+import json
 from collections import Counter as Multiset
 from dataclasses import replace as dc_replace
 from multiprocessing.process import BaseProcess
 
 import pytest
 
-from repro.apps import load_application
+from repro.apps import build_linear_road, load_application
+from repro.core import PerformanceModel, RLASOptimizer
+from repro.core.scaling import saturation_ingress
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
+from repro.hardware import server_a
 from repro.metrics.registry import MetricsRegistry
-from repro.runtime import EpochConfig, FaultPlan, Migration, check_serializable
+from repro.runtime import (
+    EpochConfig,
+    FaultPlan,
+    FusionConfig,
+    Migration,
+    check_serializable,
+    shm_available,
+)
 from repro.runtime.batching import AdaptiveBatchController
 
 EVENTS = 300
@@ -114,6 +125,64 @@ class TestEpochParityProcess:
         assert result.sink_received() == baseline.sink_received()
         assert sink_multiset(result) == sink_multiset(baseline)
         assert result.epochs.committed >= EVENTS // INTERVAL - 1
+
+
+def component_counts(result):
+    counts = {}
+    for stats in result.task_stats.values():
+        tuples_in, tuples_out = counts.get(stats.component, (0, 0))
+        counts[stats.component] = (
+            tuples_in + stats.tuples_in,
+            tuples_out + stats.tuples_out,
+        )
+    return counts
+
+
+def sink_states(result):
+    """Every sink's ``snapshot_state()`` as a multiset per component, its
+    samples too: arrival order across input edges is the executor's."""
+    states = {}
+    for component, sinks in result.sinks.items():
+        snapshots = []
+        for sink in sinks:
+            state = sink.snapshot_state()
+            state["samples"] = sorted(map(json.dumps, state["samples"]))
+            snapshots.append(json.dumps(state, sort_keys=True))
+        states[component] = sorted(snapshots)
+    return states
+
+
+@pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
+class TestRlasPlanFanOutParity:
+    """An RLAS plan with replicated operators on the process backend:
+    the 14-way fields and broadcast edges route kernel output through
+    ``Grouping.partition`` and the per-edge columnar jumbo buffers."""
+
+    def test_matches_scalar_inline_run(self):
+        topology = build_linear_road(seed=1)
+        # Keep every delivered tuple, so a key routed to the wrong
+        # replica shows up in the sink state, not only in the counts.
+        topology.component("sink").template.keep_samples = 10**6
+        profiles = load_application("lr")[1]
+        machine = server_a(2)
+        rate = saturation_ingress(topology, PerformanceModel(profiles, machine))
+        plan = RLASOptimizer(topology, profiles, machine, rate).optimize()
+        replication = plan.expanded_plan.graph.replication
+        assert max(replication.values()) > 1
+        result = LocalEngine.from_plan(
+            plan.expanded_plan,
+            backend="process",
+            n_workers=2,
+            dataplane="shm",
+            epoch_interval=500,
+            fuse=FusionConfig(mode="auto", profiles=profiles, machine=machine),
+        ).run(2_000)
+        reference = LocalEngine.from_plan(
+            plan.expanded_plan, vectorized="off", epoch_interval=500
+        ).run(2_000)
+        assert result.events_ingested == reference.events_ingested == 2_000
+        assert component_counts(result) == component_counts(reference)
+        assert sink_states(result) == sink_states(reference)
 
 
 class TestBarrierObserver:

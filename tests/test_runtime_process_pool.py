@@ -12,12 +12,18 @@ end-to-end suites can only observe indirectly:
 * ``_blocking_put``: a full peer inbox blocks with bounded patience —
   a dead peer raises WorkerCrashError, a live-but-stuck one raises
   QueueDeadlockError after ``send_timeout_s`` (this path used to spin
-  forever).
+  forever);
+* ``_route_columns``: kernel output partitioned over a fan-out route is
+  coalesced per edge into jumbo batches of exactly the edge's batch size
+  (the last of a slice excepted), in per-edge FIFO order with scalar
+  tuples, never mixing dictionary columns over different decode tables.
 """
 
 import queue
 import threading
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from repro.apps import load_application
@@ -28,14 +34,22 @@ from repro.errors import (
     QueueDeadlockError,
     WorkerCrashError,
 )
-from repro.runtime import ProcessPoolBackend
+from repro.metrics import MetricsRegistry
+from repro.runtime import ProcessPoolBackend, shm_available
+from repro.runtime.dataplane.columns import ColumnBatch, DictColumn
+from repro.runtime.lowering import apply_edge_batches
 from repro.runtime.process_pool import _STATUS_RUNNING, _Worker
 
 
-def make_worker(*, ordered=False, queue_capacity=None, inboxes=None, **kwargs):
+def make_worker(
+    *, ordered=False, queue_capacity=None, inboxes=None, replication=None,
+    **kwargs,
+):
     """A single-worker ``_Worker`` over the lowered WC spec."""
     topology, _ = load_application("wc")
-    engine = LocalEngine(topology, queue_capacity=queue_capacity)
+    engine = LocalEngine(
+        topology, queue_capacity=queue_capacity, replication=replication
+    )
     spec = engine.spec
     owner = {rt.task_id: 0 for rt in spec.tasks}
     return (
@@ -250,3 +264,168 @@ class TestSealedBatchByteAccounting:
         metrics = worker.channel.metrics
         assert metrics["remote_batches_out"] == 3
         assert metrics["pickled_bytes_out"] == total
+
+
+#: WC with a 14-way fields edge (splitter -> counter).
+FANOUT = {"spout": 1, "parser": 1, "splitter": 1, "counter": 14, "sink": 1}
+
+
+def task_of(spec, component):
+    return next(rt for rt in spec.tasks if rt.component == component)
+
+
+def word_batch(words, producer):
+    """A stamped kernel-output batch of one word column."""
+    batch = ColumnBatch.build("default", "s", [list(words)])
+    batch.source_task = producer
+    batch.event_times = np.zeros(len(batch))
+    return batch
+
+
+def record_sends(worker):
+    """Capture every dispatched message, in order, per edge: a list of
+    ("columns" | "tuples", rows) with rows as value tuples."""
+    sent = defaultdict(list)
+
+    def columns(producer, consumer, batch):
+        sent[(producer, consumer)].append(
+            ("columns", [t.values for t in batch.to_tuples()], batch)
+        )
+
+    def tuples(producer, consumer, items):
+        sent[(producer, consumer)].append(
+            ("tuples", [t.values for t in items], None)
+        )
+
+    worker._dispatch_columns = columns
+    worker._dispatch = tuples
+    return sent
+
+
+class TestColumnarCoalescing:
+    def _route_words(self, worker, splitter, batches, rows):
+        for b in range(batches):
+            worker._route_columns(
+                splitter,
+                word_batch(
+                    [f"w{(b * 7 + i) % 97}" for i in range(rows)],
+                    splitter.task_id,
+                ),
+            )
+        worker._flush_task(splitter)  # slice end
+
+    def _assert_full_batches(self, worker, sent, routed_rows):
+        total = 0
+        for edge, messages in sent.items():
+            size = worker.spec.batch_for(edge)
+            lengths = [len(rows) for kind, rows, _ in messages]
+            assert all(kind == "columns" for kind, _, _ in messages)
+            assert all(n == size for n in lengths[:-1]), (edge, size, lengths)
+            assert 0 < lengths[-1] <= size, (edge, size, lengths)
+            total += sum(lengths)
+        assert total == routed_rows
+
+    def test_fields_edge_seals_exact_jumbo_batches(self):
+        worker, spec = make_worker(replication=FANOUT)
+        splitter = task_of(spec, "splitter")
+        (route,) = splitter.routes
+        assert len(route.consumers) == 14
+        sent = record_sends(worker)
+        self._route_words(worker, splitter, batches=40, rows=64)
+        assert len(sent) == 14
+        self._assert_full_batches(worker, sent, 40 * 64)
+        # A 14-way partition of a 64-row batch averages < 5 rows per
+        # consumer; coalescing is what keeps messages full.
+        assert sum(map(len, sent.values())) < 40 * 14 / 4
+
+    def test_resized_edges_seal_at_their_new_size(self):
+        worker, spec = make_worker(replication=FANOUT)
+        splitter = task_of(spec, "splitter")
+        edges = [(splitter.task_id, c) for c in splitter.routes[0].consumers]
+        resized = apply_edge_batches(
+            spec, {edge: 5 + index for index, edge in enumerate(edges)}
+        )
+        worker.begin_slice(100, True, None, dict(resized.edge_batch_size), None)
+        sent = record_sends(worker)
+        self._route_words(worker, splitter, batches=20, rows=64)
+        assert {worker.spec.batch_for(e) for e in sent} == set(range(5, 19))
+        self._assert_full_batches(worker, sent, 20 * 64)
+
+    def test_scalar_tuples_between_columnar_batches_keep_edge_fifo(self):
+        worker, spec = make_worker(replication=FANOUT)
+        splitter = task_of(spec, "splitter")
+        sent = record_sends(worker)
+        order = []
+
+        def columnar(tag, n):
+            words = [f"{tag}{i}" for i in range(n)]
+            order.extend(words)
+            worker._route_columns(
+                splitter, word_batch(words, splitter.task_id)
+            )
+
+        columnar("a", 50)
+        for i in range(30):  # a scalar fallback batch, routed per tuple
+            order.append(f"s{i}")
+            worker._route(
+                splitter,
+                StreamTuple(values=(f"s{i}",), source_task=splitter.task_id),
+            )
+        columnar("b", 50)
+        worker._flush_task(splitter)
+        position = {word: i for i, word in enumerate(order)}
+        seen = 0
+        for edge, messages in sent.items():
+            words = [values[0] for _, rows, _ in messages for values in rows]
+            ranks = [position[w] for w in words]
+            assert ranks == sorted(ranks), edge
+            seen += len(words)
+        assert seen == len(order)
+        kinds = {kind for messages in sent.values() for kind, _, _ in messages}
+        assert kinds == {"columns", "tuples"}
+
+    def test_dict_columns_over_different_tables_never_concatenate(self):
+        worker, spec = make_worker()
+        splitter = task_of(spec, "splitter")
+        edge = (splitter.task_id, splitter.routes[0].consumers[0])
+        sent = record_sends(worker)
+        mirror, local = ["x", "y"], ["y", "x"]
+        for table in (mirror, local, local):
+            batch = ColumnBatch.build(
+                "default", "s", [DictColumn([0, 1, 1], table)]
+            )
+            batch.source_task = splitter.task_id
+            batch.event_times = np.zeros(3)
+            worker._append_columns(*edge, batch)
+        worker._flush_columns(edge)
+        messages = sent[edge]
+        assert [rows for _, rows, _ in messages] == [
+            [("x",), ("y",), ("y",)],
+            [("y",), ("x",), ("x",)] * 2,
+        ]
+        assert [m[2].columns[0].table for m in messages] == [mirror, local]
+        assert messages[0][2].columns[0].table is mirror
+
+
+@pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
+def test_wc_fanout_on_shm_never_falls_back_to_pickle():
+    topology, _ = load_application("wc")
+    topology.component("sink").template.keep_samples = 10**6
+    replication = {"spout": 1, "parser": 2, "splitter": 2, "counter": 2, "sink": 1}
+    registry = MetricsRegistry()
+    result = LocalEngine(
+        topology,
+        replication=replication,
+        registry=registry,
+        backend=ProcessPoolBackend(
+            n_workers=2, dataplane="shm", vectorized="on", string_dict="on"
+        ),
+    ).run(400)
+    reference = LocalEngine(
+        load_application("wc")[0], replication=replication, vectorized="off"
+    ).run(400)
+    assert result.sink_received() == reference.sink_received()
+    counters = registry.snapshot()["counters"]
+    assert counters.get("runtime.dataplane.codec_fallbacks", 0) == 0
+    assert counters.get("runtime.vectorized.fallbacks", 0) == 0
+    assert counters["runtime.vectorized.batches"] > 0
