@@ -20,6 +20,13 @@ Three measurements, recorded together in ``BENCH_vectorized.json``:
   multi-consumer shuffle and fields edges partitioned in one vectorized
   step per batch and coalesced per edge.  Same counter assertions and
   the same floor.
+* **inline** (``data["inline"]``) — LR on the single-threaded inline
+  backend with ``--fuse auto``, kernels on vs off: kernel output routes
+  as column batches through the inline queues, so this is the only case
+  where routing, not transport, is what the kernels save.  Best of three
+  timed runs per mode, plus a parity pair with every sink tuple kept
+  (sink multisets and per-task counters must match).  The floor applies
+  on any core count: both modes run on one thread.
 * **parity** — the full matrix of 4 apps x {inline, process+pickle,
   process+shm} x {off, on}: every cell pair must ingest the same events
   and deliver bit-identical sink multisets and per-task counters.  The
@@ -46,7 +53,7 @@ from repro.apps.spike_detection import build_spike_detection
 from repro.apps.wordcount import build_wordcount
 from repro.dsps.engine import LocalEngine
 from repro.metrics import MetricsRegistry, format_table
-from repro.runtime import ProcessPoolBackend, shm_available
+from repro.runtime import FusionConfig, ProcessPoolBackend, shm_available
 from repro.runtime.dataplane import columns_available
 
 from support import QUICK, write_result
@@ -197,6 +204,44 @@ def _parity_matrix() -> dict:
     return matrix
 
 
+def _inline_lr(vectorized: str, keep_samples: int):
+    engine = LocalEngine(
+        _topology("lr", keep_samples=keep_samples),
+        vectorized=vectorized,
+        fuse=FusionConfig(mode="auto"),
+    )
+    started = perf_counter()
+    result = engine.run(EVENTS)
+    return perf_counter() - started, result
+
+
+def _compare_inline() -> dict:
+    """LR inline, scalar vs kernels: the artefact's ``inline`` entry."""
+    timed = {}
+    for vectorized in ("off", "on"):
+        _inline_lr(vectorized, keep_samples=0)  # warm-up
+        runs = [_inline_lr(vectorized, keep_samples=0) for _ in range(3)]
+        timed[vectorized] = min(runs, key=lambda run: run[0])
+    _, off = _inline_lr("off", keep_samples=10**6)
+    _, on = _inline_lr("on", keep_samples=10**6)
+    parity = {
+        "sink_multisets": _sink_multiset(off) == _sink_multiset(on),
+        "task_counters": _task_counters(off) == _task_counters(on),
+    }
+    assert all(parity.values()), parity
+    off_s, on_s = timed["off"][0], timed["on"][0]
+    tuples_delivered = timed["off"][1].sink_received()
+    assert timed["on"][1].sink_received() == tuples_delivered
+    return {
+        "app": "lr",
+        "fuse": "auto",
+        "scalar": {"wall_s": off_s, "tuples_per_s": tuples_delivered / off_s},
+        "vectorized": {"wall_s": on_s, "tuples_per_s": tuples_delivered / on_s},
+        "speedup": off_s / on_s if on_s > 0 else 0.0,
+        "parity": parity,
+    }
+
+
 def _compare_modes(replication: dict | None) -> dict:
     """WC scalar vs kernels at one replication: the artefact's
     ``scalar``/``vectorized``/``speedup`` entries."""
@@ -250,6 +295,7 @@ def test_vectorized_throughput():
 
     single = _compare_modes(replication=None)
     fanout = _compare_modes(replication=FANOUT_REPLICATION)
+    inline = _compare_inline()
 
     rows = [
         row
@@ -271,6 +317,20 @@ def test_vectorized_throughput():
                 f"{case['vectorized']['vectorized']['batches']:,}",
                 f"{case['speedup']:.2f}",
             ],
+        )
+    ]
+    rows += [
+        [
+            "LR inline",
+            mode,
+            f"{inline[key]['wall_s']:.3f}",
+            f"{inline[key]['tuples_per_s']:,.0f}",
+            "-",
+            f"{speedup:.2f}",
+        ]
+        for mode, key, speedup in (
+            ("off (scalar)", "scalar", 1.0),
+            ("on (kernels)", "vectorized", inline["speedup"]),
         )
     ]
     text = format_table(
@@ -300,6 +360,7 @@ def test_vectorized_throughput():
             "dataplane": "shm",
             **single,
             "fanout": {"replication": FANOUT_REPLICATION, **fanout},
+            "inline": inline,
             "parity": {
                 "events": PARITY_EVENTS,
                 "matrix": parity,
@@ -307,9 +368,11 @@ def test_vectorized_throughput():
         },
     )
 
+    floored = [("LR inline", inline)]
     if cores >= 2:
-        for label, case in (("replication 1", single), ("fan-out", fanout)):
-            assert case["speedup"] >= SPEEDUP_FLOOR, (
-                f"{label} vectorized speedup {case['speedup']:.2f}x below "
-                f"{SPEEDUP_FLOOR}x on {cores} cores"
-            )
+        floored += [("replication 1", single), ("fan-out", fanout)]
+    for label, case in floored:
+        assert case["speedup"] >= SPEEDUP_FLOOR, (
+            f"{label} vectorized speedup {case['speedup']:.2f}x below "
+            f"{SPEEDUP_FLOOR}x on {cores} cores"
+        )

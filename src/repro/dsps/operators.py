@@ -239,7 +239,7 @@ class Sink(Operator):
         being collected or when a subclass hooks :meth:`on_tuple`.
         Executors call this only for sinks that keep the default
         :meth:`process`; overriding ``process`` re-enables per-tuple
-        delivery (see the capability gating in the backends).
+        delivery (see :meth:`supports_columns`).
         """
         n = len(batch)
         if (
@@ -254,6 +254,12 @@ class Sink(Operator):
         else:
             self.received += n
         return ()
+
+    @classmethod
+    def supports_columns(cls) -> bool:
+        """Columnar intake replicates the default :meth:`process` only, so
+        a sink that overrides ``process`` takes tuples."""
+        return cls.process is Sink.process and super().supports_columns()
 
     def on_tuple(self, item: StreamTuple) -> None:
         """Hook for subclasses; default does nothing beyond counting."""

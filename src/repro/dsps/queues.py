@@ -63,6 +63,10 @@ class QueueStats:
 class CommunicationQueue:
     """A bounded FIFO of jumbo tuples between one producer/consumer pair.
 
+    A queued message is any sized batch of rows: a :class:`JumboTuple`,
+    or a columnar ``ColumnBatch`` that a kernel produced and the inline
+    backend carries without bursting it into tuples.
+
     Parameters
     ----------
     producer:
@@ -107,7 +111,7 @@ class CommunicationQueue:
 
     def offer(self, batch: JumboTuple) -> bool:
         """Try to enqueue ``batch``; returns False when full (no partial add)."""
-        if not batch.tuples:
+        if not len(batch):
             return True
         if (
             self.capacity_tuples is not None
@@ -150,6 +154,14 @@ class CommunicationQueue:
         self._depth_tuples -= len(batch)
         self.stats.dequeued_tuples += len(batch)
         return batch
+
+    def drain(self) -> list:
+        """Dequeue every buffered message whole, oldest first."""
+        batches = list(self._batches)
+        self._batches.clear()
+        self.stats.dequeued_tuples += self._depth_tuples
+        self._depth_tuples = 0
+        return batches
 
     def drain_tuples(self, max_tuples: int | None = None) -> list[StreamTuple]:
         """Dequeue whole batches until ``max_tuples`` tuples are collected.

@@ -120,12 +120,20 @@ class FieldsGrouping(Grouping):
         if not key_fields:
             raise TopologyError("fields grouping needs at least one key field")
         self.key_fields = tuple(key_fields)
+        # Every key field indexes a record of arity n iff the extremes do
+        # (-n <= lo and hi < n): the single-consumer shortcut checks only
+        # these two.
+        self._extremes = (min(key_fields), max(key_fields))
         # Digest memo per key-column typecodes: within one typecode
         # string, equal keys have equal reprs (True == 1 would not).
         self._memo: dict[str, dict] = {}
 
     def route(self, item: StreamTuple, n_consumers: int, counter: int) -> list[int]:
         try:
+            if n_consumers == 1:  # one replica: no hash to compute
+                for f in self._extremes:
+                    item.values[f]
+                return [0]
             key = tuple(item.values[f] for f in self.key_fields)
         except IndexError as exc:
             raise TopologyError(
@@ -142,6 +150,10 @@ class FieldsGrouping(Grouping):
         if len(batch) == 0:
             return [np.empty(0, dtype=np.intp) for _ in range(n_consumers)]
         try:
+            if n_consumers == 1:  # one replica: every row, no hash
+                for f in self._extremes:
+                    batch.schema[f]
+                return [np.arange(len(batch))]
             columns = [batch.columns[f] for f in self.key_fields]
             codes = "".join(batch.schema[f] for f in self.key_fields)
         except IndexError as exc:

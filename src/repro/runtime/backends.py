@@ -29,7 +29,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.dsps.operators import Operator, Sink
-from repro.dsps.queues import CommunicationQueue, OutputBuffer, QueueStats
+from repro.dsps.queues import CommunicationQueue, QueueStats
 from repro.dsps.tuples import JumboTuple, StreamTuple
 from repro.errors import (
     ExecutionError,
@@ -43,7 +43,11 @@ from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.dataplane.columns import (
     VECTORIZED_MODES,
     ColumnBatch,
+    EdgeBuffer,
+    burst,
+    column_runs,
     columns_available,
+    route_columns,
     schema_accepts,
 )
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
@@ -374,13 +378,13 @@ class _InlineRun:
             for rt in spec.tasks
         }
         self.queues: dict[tuple[int, int], CommunicationQueue] = {}
-        self.buffers: dict[tuple[int, int], OutputBuffer] = {}
+        self.buffers: dict[tuple[int, int], EdgeBuffer] = {}
         for edge in spec.edges:
             key = (edge.producer, edge.consumer)
             self.queues[key] = CommunicationQueue(
                 edge.producer, edge.consumer, spec.queue_capacity[key]
             )
-            self.buffers[key] = OutputBuffer(
+            self.buffers[key] = EdgeBuffer(
                 edge.producer, edge.consumer, spec.batch_for(key)
             )
         self.counters: dict[tuple[int, str], int] = defaultdict(int)
@@ -836,15 +840,14 @@ class _InlineRun:
             )
             else None
         )
-        # Columnar fast path: one numpy kernel call per drained batch.
-        # Inline transport never leaves the process, so sinks gain nothing
-        # from a transpose and stay scalar here; a kernel-capable operator
-        # whose batch cannot go columnar (disqualified schema, fault
-        # injection armed, per-tuple timing) is a counted fallback.
+        # Columnar fast path: one numpy kernel call per run of joinable
+        # drained payloads, whose outputs route as columns.  A
+        # kernel-capable operator whose input cannot go columnar
+        # (disqualified schema, fault injection armed, per-tuple timing)
+        # is a counted fallback.
         vectorizable = (
             self.vectorized != "off"
             and columns_available()
-            and not isinstance(operator, Sink)
             and operator.supports_columns()
         )
         column_fn = (
@@ -865,68 +868,26 @@ class _InlineRun:
             progressed = False
             for queue in in_queues:
                 while True:
-                    items = queue.drain_tuples()
-                    if not items:
+                    payloads = queue.drain()
+                    if not payloads:
                         break
                     progressed = True
                     self.ticks += 1
-                    if column_fn is not None:
-                        batch = ColumnBatch.from_tuples(items)
-                        if batch is not None and not schema_accepts(
-                            operator.column_schemas, batch.schema
-                        ):
-                            batch = None  # schema the kernel did not negotiate
-                        if batch is not None:
-                            stats.tuples_in += len(items)
-                            self.vec["batches"] += 1
-                            self.vec["tuples"] += len(items)
-                            for out in column_fn(batch):
-                                if len(out) == 0:
-                                    continue
-                                out.stamp_from(batch, rt.task_id)
-                                stats.record_out_many(
-                                    out.stream, len(out), out.payload_bytes()
-                                )
-                                for item in out.to_tuples():
-                                    yield from self._route(rt, item)
-                            continue
-                        self.vec["fallbacks"] += 1
-                    elif vectorizable:
-                        self.vec["fallbacks"] += 1
-                    if batch_fn is not None:
-                        stats.tuples_in += len(items)
-                        for index, stream, values in batch_fn(items):
-                            out = items[index].derive(
-                                values, stream=stream, source_task=rt.task_id
-                            )
-                            stats.record_out(stream, out.payload_size_bytes)
-                            yield from self._route(rt, out)
-                        continue
-                    for item in items:
-                        stats.tuples_in += 1
-                        if self.injector is not None:
-                            self._fault_tick(rt)
-                            if self.injector.is_stalled(rt.task_id):
-                                # Simulated stall mid-batch: stop right here
-                                # and never progress again; the scheduler's
-                                # no-progress watchdog raises StallError.
-                                while True:
-                                    yield
-                        if histogram is None:
-                            emitted = operator.process(item)
+                    if column_fn is None:
+                        if vectorizable:
+                            self.vec["fallbacks"] += 1
+                        runs = [burst(payloads)]
+                    else:
+                        runs = self._column_inputs(
+                            payloads, operator.column_schemas
+                        )
+                    for run in runs:
+                        if isinstance(run, ColumnBatch):
+                            yield from self._process_columns(rt, column_fn, run)
                         else:
-                            # Timed path: materialize the generator so the
-                            # observed wall-clock covers the whole per-tuple
-                            # work of the operator.
-                            started = perf_counter()
-                            emitted = list(operator.process(item))
-                            histogram.observe((perf_counter() - started) * 1e9)
-                        for stream, values in emitted:
-                            out = item.derive(
-                                values, stream=stream, source_task=rt.task_id
+                            yield from self._process_items(
+                                rt, run, batch_fn, histogram
                             )
-                            stats.record_out(stream, out.payload_size_bytes)
-                            yield from self._route(rt, out)
             if producers <= self.done:
                 if all(queue.is_empty for queue in in_queues):
                     break
@@ -944,6 +905,77 @@ class _InlineRun:
                 yield from self._route(rt, out)
         yield from self._flush_buffers(rt)
         self.done.add(rt.task_id)
+
+    def _column_inputs(
+        self, payloads: list, schemas
+    ) -> Iterator[ColumnBatch | list[StreamTuple]]:
+        """A kernel consumer's drained payloads, one kernel input per run
+        (:func:`~repro.runtime.dataplane.columns.column_runs`): a
+        ColumnBatch when the kernel negotiates the run's schema, else the
+        run's tuples for the scalar path (a counted fallback)."""
+        for run in column_runs(payloads):
+            batch = (
+                run if isinstance(run, ColumnBatch) else ColumnBatch.from_tuples(run)
+            )
+            if batch is not None and schema_accepts(schemas, batch.schema):
+                yield batch
+                continue
+            self.vec["fallbacks"] += 1
+            yield run if isinstance(run, list) else run.to_tuples()
+
+    def _process_columns(
+        self, rt: TaskRuntime, kernel, batch: ColumnBatch
+    ) -> Iterator[None]:
+        """One kernel call; its outputs route as columns."""
+        stats = self.stats[rt.task_id]
+        stats.tuples_in += len(batch)
+        self.vec["batches"] += 1
+        self.vec["tuples"] += len(batch)
+        for out in kernel(batch):
+            if len(out) == 0:
+                continue
+            out.stamp_from(batch, rt.task_id)
+            stats.record_out_many(out.stream, len(out), out.payload_bytes())
+            yield from self._route_columns(rt, out)
+
+    def _process_items(
+        self, rt: TaskRuntime, items: list[StreamTuple], batch_fn, histogram
+    ) -> Iterator[None]:
+        """The scalar path: one process_batch call, or process() per tuple."""
+        operator = self.instances[rt.task_id]
+        stats = self.stats[rt.task_id]
+        if batch_fn is not None:
+            stats.tuples_in += len(items)
+            for index, stream, values in batch_fn(items):
+                out = items[index].derive(
+                    values, stream=stream, source_task=rt.task_id
+                )
+                stats.record_out(stream, out.payload_size_bytes)
+                yield from self._route(rt, out)
+            return
+        for item in items:
+            stats.tuples_in += 1
+            if self.injector is not None:
+                self._fault_tick(rt)
+                if self.injector.is_stalled(rt.task_id):
+                    # Simulated stall mid-batch: stop right here and never
+                    # progress again; the scheduler's no-progress watchdog
+                    # raises StallError.
+                    while True:
+                        yield
+            if histogram is None:
+                emitted = operator.process(item)
+            else:
+                # Timed path: materialize the generator so the observed
+                # wall-clock covers the whole per-tuple work of the
+                # operator.
+                started = perf_counter()
+                emitted = list(operator.process(item))
+                histogram.observe((perf_counter() - started) * 1e9)
+            for stream, values in emitted:
+                out = item.derive(values, stream=stream, source_task=rt.task_id)
+                stats.record_out(stream, out.payload_size_bytes)
+                yield from self._route(rt, out)
 
     # ------------------------------------------------------------------
     # Fused chains: the head executes every stage inline (see
@@ -967,9 +999,7 @@ class _InlineRun:
         for rt in chain:
             operator = self.instances[rt.task_id]
             capable = (
-                isinstance(operator, Operator)
-                and not isinstance(operator, Sink)
-                and operator.supports_columns()
+                isinstance(operator, Operator) and operator.supports_columns()
             )
             kernels.append(operator.process_columns if capable else None)
         return kernels
@@ -996,25 +1026,25 @@ class _InlineRun:
             progressed = False
             for queue in in_queues:
                 while True:
-                    items = queue.drain_tuples()
-                    if not items:
+                    payloads = queue.drain()
+                    if not payloads:
                         break
                     progressed = True
                     self.ticks += 1
-                    if kernels[0] is not None:
-                        batch = ColumnBatch.from_tuples(items)
-                        if batch is not None and not schema_accepts(
-                            head_op.column_schemas, batch.schema
-                        ):
-                            batch = None
-                        if batch is not None:
+                    if kernels[0] is None:
+                        runs = [burst(payloads)]
+                    else:
+                        runs = self._column_inputs(
+                            payloads, head_op.column_schemas
+                        )
+                    for run in runs:
+                        if isinstance(run, ColumnBatch):
                             yield from self._chain_columns(
-                                chain, kernels, histograms, 0, batch
+                                chain, kernels, histograms, 0, run
                             )
                             continue
-                        self.vec["fallbacks"] += 1
-                    for item in items:
-                        yield from self._chain_item(chain, histograms, 0, item)
+                        for item in run:
+                            yield from self._chain_item(chain, histograms, 0, item)
             if producers <= self.done:
                 if all(queue.is_empty for queue in in_queues):
                     break
@@ -1108,8 +1138,7 @@ class _InlineRun:
             out.stamp_from(batch, rt.task_id)
             stats.record_out_many(out.stream, len(out), out.payload_bytes())
             if last:
-                for item in out.to_tuples():
-                    yield from self._route(rt, item)
+                yield from self._route_columns(rt, out)
                 continue
             if out.stream != rt.out_edges[0].stream:
                 continue  # unrouted stream, dropped as in the scalar path
@@ -1154,11 +1183,20 @@ class _InlineRun:
                     getattr(self.instances[rt.task_id], "sheddable", None),
                 ):
                     continue
-                sealed = self.buffers[(rt.task_id, consumer)].append(item)
-                if sealed is not None:
+                for sealed in self.buffers[(rt.task_id, consumer)].append(item):
                     yield from self._enqueue(rt.task_id, consumer, sealed)
 
-    def _enqueue(self, producer: int, consumer: int, batch: JumboTuple) -> Iterator[None]:
+    def _route_columns(self, rt: TaskRuntime, out: ColumnBatch) -> Iterator[None]:
+        """Route one kernel output batch to its edge buffers
+        (:func:`~repro.runtime.dataplane.columns.route_columns`)."""
+        for consumer, sealed in route_columns(
+            rt, out, self.counters, self.buffers, self.spec.batch_for
+        ):
+            yield from self._enqueue(rt.task_id, consumer, sealed)
+
+    def _enqueue(
+        self, producer: int, consumer: int, batch: JumboTuple | ColumnBatch
+    ) -> Iterator[None]:
         if self.injector is not None and self.injector.take_drop(
             producer, len(batch)
         ):
@@ -1181,8 +1219,7 @@ class _InlineRun:
 
     def _flush_buffers(self, rt: TaskRuntime) -> Iterator[None]:
         for edge in rt.out_edges:
-            sealed = self.buffers[(edge.producer, edge.consumer)].flush()
-            if sealed is not None:
+            for sealed in self.buffers[(edge.producer, edge.consumer)].flush():
                 yield from self._enqueue(edge.producer, edge.consumer, sealed)
 
 

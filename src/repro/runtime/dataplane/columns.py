@@ -27,17 +27,21 @@ scalar path instead.  Correctness never depends on a batch qualifying.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 try:  # numpy is required for columnar execution, not for the engine.
     import numpy as np
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None  # type: ignore[assignment]
 
-from repro.dsps.tuples import StreamTuple
+from repro.dsps.queues import OutputBuffer
+from repro.dsps.tuples import JumboTuple, StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy.typing as npt
+
+    from repro.runtime.lowering import TaskRuntime
 
 #: Typecodes an operator may declare (shared with the wire format).
 FIELD_TYPECODES = "qd?sy"
@@ -593,3 +597,161 @@ class ColumnBatch:
             self.index,
         ) = state
         self._tuples = None
+
+
+class EdgeBuffer:
+    """One task edge's jumbo-tuple former, for scalar and columnar rows.
+
+    Scalar tuples accumulate in an :class:`~repro.dsps.queues.OutputBuffer`;
+    kernel-output rows accumulate as :class:`ColumnBatch` pieces and seal
+    into messages of exactly the requested size.  Whichever side has rows
+    pending seals before the other side takes a row, so at most one side
+    is ever pending and the edge stays FIFO.  Pending rows that a new
+    piece cannot :meth:`~ColumnBatch.joins` (another schema, or a
+    dictionary column over a different decode table) seal short rather
+    than mix.
+
+    Every method returns the payloads it sealed, oldest first; the
+    backend only dispatches them.
+    """
+
+    __slots__ = ("scalar", "pieces", "rows")
+
+    def __init__(self, producer: int, consumer: int, batch_size: int) -> None:
+        self.scalar = OutputBuffer(producer, consumer, batch_size)
+        self.pieces: deque[ColumnBatch] = deque()
+        self.rows = 0
+
+    @property
+    def batch_size(self) -> int:
+        """Scalar seal size (the backends keep it at ``batch_for(edge)``)."""
+        return self.scalar.batch_size
+
+    @batch_size.setter
+    def batch_size(self, size: int) -> None:
+        self.scalar.batch_size = size
+
+    def append(self, item: StreamTuple) -> list[JumboTuple | ColumnBatch]:
+        """Buffer one scalar tuple."""
+        sealed: list = [self._take(self.rows)] if self.rows else []
+        jumbo = self.scalar.append(item)
+        if jumbo is not None:
+            sealed.append(jumbo)
+        return sealed
+
+    def append_columns(
+        self, piece: ColumnBatch, size: int
+    ) -> list[JumboTuple | ColumnBatch]:
+        """Buffer columnar rows, sealing every full ``size``-row batch."""
+        sealed: list = []
+        jumbo = self.scalar.flush()
+        if jumbo is not None:
+            sealed.append(jumbo)
+        if self.rows and not self.pieces[0].joins(piece):
+            sealed.append(self._take(self.rows))
+        self.pieces.append(piece)
+        self.rows += len(piece)
+        while self.rows >= size:
+            sealed.append(self._take(size))
+        return sealed
+
+    def flush(self) -> list[JumboTuple | ColumnBatch]:
+        """Seal whatever is pending, however few rows."""
+        jumbo = self.scalar.flush()
+        sealed: list = [] if jumbo is None else [jumbo]
+        if self.rows:
+            sealed.append(self._take(self.rows))
+        return sealed
+
+    @property
+    def pending(self) -> int:
+        """Buffered rows on either side."""
+        return self.scalar.pending + self.rows
+
+    def _take(self, size: int) -> ColumnBatch:
+        """Remove the first ``size`` pending columnar rows as one batch."""
+        taken = []
+        need = size
+        while need:
+            piece = self.pieces.popleft()
+            if len(piece) > need:
+                piece, rest = piece.split(need)
+                self.pieces.appendleft(rest)
+            taken.append(piece)
+            need -= len(piece)
+        self.rows -= size
+        return ColumnBatch.concat(taken)
+
+
+def route_columns(
+    rt: "TaskRuntime",
+    out: ColumnBatch,
+    counters: dict,
+    buffers: Mapping[tuple[int, int], EdgeBuffer],
+    batch_for: Callable[[tuple[int, int]], int],
+) -> Iterator[tuple[int, JumboTuple | ColumnBatch]]:
+    """Route one kernel output batch of task ``rt`` to its edge buffers.
+
+    Each matching route's grouping partitions the batch in one vectorized
+    step (``Grouping.partition``, row-for-row equivalent to the scalar
+    router), and the per-route counter advances by ``len(out)`` exactly
+    as the scalar loop would.  Every consumer's rows join that edge's
+    :class:`EdgeBuffer`, sealing ``batch_for(edge)`` rows per message
+    (read per append, so batch resizes apply).  Yields ``(consumer,
+    payload)`` for every sealed message, in order.
+    """
+    for route in rt.routes:
+        if route.stream != out.stream:
+            continue
+        key = (rt.task_id, route.counter_key)
+        parts = route.grouping.partition(
+            out, len(route.consumers), counters[key]
+        )
+        counters[key] += len(out)
+        for consumer, rows in zip(route.consumers, parts):
+            if len(rows):
+                edge = (rt.task_id, consumer)
+                for payload in buffers[edge].append_columns(
+                    out.select(rows), batch_for(edge)
+                ):
+                    yield consumer, payload
+
+
+def column_runs(payloads: Sequence) -> Iterator[ColumnBatch | list[StreamTuple]]:
+    """Group drained queue payloads into one kernel call per run.
+
+    Consecutive :class:`ColumnBatch` payloads that pairwise
+    :meth:`~ColumnBatch.joins` concatenate into one batch; consecutive
+    scalar payloads merge into one tuple list (for
+    :meth:`ColumnBatch.from_tuples`).  Order is preserved.
+    """
+    run: list = []
+    for payload in payloads:
+        columnar = isinstance(payload, ColumnBatch)
+        if run and (
+            columnar is not isinstance(run[0], ColumnBatch)
+            or (columnar and not run[0].joins(payload))
+        ):
+            yield _merge_run(run)
+            run = []
+        run.append(payload)
+    if run:
+        yield _merge_run(run)
+
+
+def _merge_run(run: list) -> ColumnBatch | list[StreamTuple]:
+    if isinstance(run[0], ColumnBatch):
+        return ColumnBatch.concat(run)
+    return [item for payload in run for item in payload.tuples]
+
+
+def burst(payloads: Sequence) -> list[StreamTuple]:
+    """Every drained payload's rows as tuples, in order."""
+    items: list[StreamTuple] = []
+    for payload in payloads:
+        items.extend(
+            payload.to_tuples()
+            if isinstance(payload, ColumnBatch)
+            else payload.tuples
+        )
+    return items

@@ -83,8 +83,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping
 import multiprocessing as mp
 
 from repro.dsps.operators import Operator, Sink
-from repro.dsps.queues import OutputBuffer, QueueStats
-from repro.dsps.tuples import StreamTuple
+from repro.dsps.queues import QueueStats
+from repro.dsps.tuples import JumboTuple, StreamTuple
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -111,6 +111,7 @@ from repro.runtime.dataplane import (
     create_dataplane,
     schema_accepts,
 )
+from repro.runtime.dataplane.columns import EdgeBuffer, route_columns
 from repro.runtime.epochs import (
     EpochCheckpoint,
     EpochCommit,
@@ -1017,34 +1018,6 @@ def _delta(totals: Mapping[str, float], reported: Mapping[str, float]) -> dict:
     return {key: value - reported.get(key, 0.0) for key, value in totals.items()}
 
 
-class _ColumnBuffer:
-    """One edge's pending columnar rows, in arrival order."""
-
-    __slots__ = ("pieces", "rows")
-
-    def __init__(self) -> None:
-        self.pieces: deque[ColumnBatch] = deque()
-        self.rows = 0
-
-    def add(self, piece: "ColumnBatch") -> None:
-        self.pieces.append(piece)
-        self.rows += len(piece)
-
-    def take(self, size: int) -> "ColumnBatch":
-        """Remove the first ``size`` pending rows as one batch."""
-        taken = []
-        need = size
-        while need:
-            piece = self.pieces.popleft()
-            if len(piece) > need:
-                piece, rest = piece.split(need)
-                self.pieces.appendleft(rest)
-            taken.append(piece)
-            need -= len(piece)
-        self.rows -= size
-        return ColumnBatch.concat(taken)
-
-
 class _Worker:
     """One worker process: runs its task partition, one slice per command.
 
@@ -1124,7 +1097,7 @@ class _Worker:
             for rt in self.mine
         }
         self.buffers = {
-            (edge.producer, edge.consumer): OutputBuffer(
+            (edge.producer, edge.consumer): EdgeBuffer(
                 edge.producer,
                 edge.consumer,
                 spec.batch_for((edge.producer, edge.consumer)),
@@ -1132,10 +1105,6 @@ class _Worker:
             for rt in self.mine
             for edge in rt.out_edges
         }
-        # Columnar twin of ``buffers``: pending kernel-output rows per
-        # edge, present only while non-empty.  An edge never has pending
-        # rows on both sides at once.
-        self.column_buffers: dict[tuple[int, int], _ColumnBuffer] = {}
         self.counters: dict[tuple[int, str], int] = defaultdict(int)
         if resume is not None:
             # A pool restarted from a committed checkpoint (Supervisor
@@ -1195,21 +1164,15 @@ class _Worker:
             else {}
         )
         # Columnar fast path: tasks whose operator publishes a vectorized
-        # process_columns kernel (sinks qualify only with the default
-        # per-tuple process(), which Sink.process_columns replicates).
-        # column_capable drives fallback accounting; column_ops — actual
-        # kernel dispatch — additionally requires no armed injector, since
-        # fault ticks are per-tuple.
+        # process_columns kernel.  column_capable drives fallback
+        # accounting; column_ops — actual kernel dispatch — additionally
+        # requires no armed injector, since fault ticks are per-tuple.
         self.column_capable: set[int] = (
             {
                 task_id
                 for task_id, instance in self.instances.items()
                 if isinstance(instance, Operator)
                 and instance.supports_columns()
-                and (
-                    not isinstance(instance, Sink)
-                    or type(instance).process is Sink.process
-                )
             }
             if vectorized != "off" and columns_available()
             else set()
@@ -1659,76 +1622,30 @@ class _Worker:
                 getattr(self.instances[rt.task_id], "sheddable", None),
             ):
                 continue
-            edge = (rt.task_id, consumer)
-            if edge in self.column_buffers:
-                self._flush_columns(edge)  # per-edge FIFO
-            sealed = self.buffers[edge].append(item)
-            if sealed is not None:
-                self._dispatch(rt.task_id, consumer, sealed.tuples)
+            for sealed in self.buffers[(rt.task_id, consumer)].append(item):
+                self._send(rt.task_id, consumer, sealed)
 
     def _route_columns(self, rt: TaskRuntime, out: "ColumnBatch") -> None:
-        """Route one columnar output batch to its downstream edges.
+        """Route one columnar output batch to its edge buffers
+        (:func:`~repro.runtime.dataplane.columns.route_columns`)."""
+        for consumer, sealed in route_columns(
+            rt, out, self.counters, self.buffers, self.spec.batch_for
+        ):
+            self._send(rt.task_id, consumer, sealed)
 
-        Each route's grouping partitions the batch in one vectorized step
-        (``Grouping.partition``, row-for-row equivalent to the scalar
-        router), and the per-route counter advances by ``len(out)``
-        exactly as the scalar loop would.  Every consumer's rows join
-        that edge's columnar jumbo buffer.
-        """
-        for route in rt.routes:
-            if route.stream != out.stream:
-                continue
-            key = (rt.task_id, route.counter_key)
-            parts = route.grouping.partition(
-                out, len(route.consumers), self.counters[key]
-            )
-            self.counters[key] += len(out)
-            for consumer, rows in zip(route.consumers, parts):
-                if len(rows):
-                    self._append_columns(rt.task_id, consumer, out.select(rows))
-
-    def _append_columns(
-        self, producer: int, consumer: int, piece: "ColumnBatch"
+    def _send(
+        self, producer: int, consumer: int, sealed: "JumboTuple | ColumnBatch"
     ) -> None:
-        """Buffer columnar rows for one edge, dispatching every full
-        jumbo batch of exactly ``batch_for(edge)`` rows.
-
-        The edge's pending scalar tuples go first (per-edge FIFO), and
-        pending rows that ``piece`` cannot join (another schema, or a
-        dictionary column over a different decode table) are sealed
-        short rather than mixed.
-        """
-        key = (producer, consumer)
-        sealed = self.buffers[key].flush()
-        if sealed is not None:
+        """Dispatch one sealed edge-buffer payload."""
+        if isinstance(sealed, JumboTuple):
             self._dispatch(producer, consumer, sealed.tuples)
-        pending = self.column_buffers.get(key)
-        if pending is not None and not pending.pieces[0].joins(piece):
-            self._flush_columns(key)
-            pending = None
-        if pending is None:
-            pending = self.column_buffers[key] = _ColumnBuffer()
-        pending.add(piece)
-        # Read per append: AIMD resizes edges at barriers.
-        size = self.spec.batch_for(key)
-        while pending.rows >= size:
-            self._dispatch_columns(producer, consumer, pending.take(size))
-        if not pending.rows:
-            del self.column_buffers[key]
-
-    def _flush_columns(self, key: tuple[int, int]) -> None:
-        """Seal one edge's pending columnar rows, however few."""
-        pending = self.column_buffers.pop(key, None)
-        if pending is not None:
-            self._dispatch_columns(*key, pending.take(pending.rows))
+        else:
+            self._dispatch_columns(producer, consumer, sealed)
 
     def _flush_task(self, rt: TaskRuntime) -> None:
         for edge in rt.out_edges:
-            key = (edge.producer, edge.consumer)
-            sealed = self.buffers[key].flush()
-            if sealed is not None:
-                self._dispatch(edge.producer, edge.consumer, sealed.tuples)
-            self._flush_columns(key)
+            for sealed in self.buffers[(edge.producer, edge.consumer)].flush():
+                self._send(edge.producer, edge.consumer, sealed)
         for edge in rt.out_edges:
             self._send_eof(edge.producer, edge.consumer)
         self.completed.add(rt.task_id)

@@ -191,3 +191,22 @@ def test_dict_column_keys_hash_like_their_strings():
     parts = grouping.partition(batch, 14, 0)
     for word, row in (("b", 0), ("a", 1), ("c", 3)):
         assert row in parts[key_digest((word,)) % 14]
+
+
+def test_single_consumer_skips_the_hash(monkeypatch):
+    def no_digest(key):
+        raise AssertionError("a single replica needs no key digest")
+
+    monkeypatch.setattr("repro.dsps.streams.key_digest", no_digest)
+    batch = stamped(ColumnBatch.build("default", "qs", [[3, 1, 2], list("abc")]))
+    item = batch.to_tuples()[0]
+    for fields in ((0,), (1, 0), (-2, 1), (-1,)):
+        grouping = FieldsGrouping(*fields)
+        assert grouping.route(item, 1, 0) == [0]
+        assert [p.tolist() for p in grouping.partition(batch, 1, 0)] == [[0, 1, 2]]
+    for fields in ((0, 2), (-3,), (2, -3)):
+        grouping = FieldsGrouping(*fields)
+        with pytest.raises(TopologyError):
+            grouping.route(item, 1, 0)
+        with pytest.raises(TopologyError):
+            grouping.partition(batch, 1, 0)

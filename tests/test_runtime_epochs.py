@@ -185,6 +185,87 @@ class TestRlasPlanFanOutParity:
         assert sink_states(result) == sink_states(reference)
 
 
+class TestInlineColumnarBarriers:
+    """Kernel output routes as column batches through the inline
+    backend's edge buffers, and none is pending at a barrier: every
+    phase flushes them, so a checkpoint or a migration never strands
+    rows."""
+
+    EVENTS = 2_000
+    INTERVAL = 500
+
+    def _run(self, vectorized, on_epoch, messages):
+        engine = build_engine(
+            "lr",
+            vectorized=vectorized,
+            adaptive_batch=True,
+            epoch_interval=self.INTERVAL,
+            queue_budget=2048,
+        )
+        messages.clear()  # count this run's queue messages only
+        return engine.backend.execute(
+            engine.spec,
+            self.EVENTS,
+            engine.registry,
+            epochs=engine.epochs,
+            on_epoch=on_epoch,
+        )
+
+    def test_lr_with_adaptive_batching_and_migration_matches_scalar(
+        self, monkeypatch
+    ):
+        from repro.runtime.backends import _InlineRun
+
+        pending = []  # rows buffered or queued, before and after commits
+        commit = _InlineRun._commit
+
+        def checked_commit(run, epoch):
+            def rows():
+                return sum(b.pending for b in run.buffers.values()) + sum(
+                    q.depth_tuples for q in run.queues.values()
+                )
+
+            pending.append(rows())
+            commit(run, epoch)  # runs the observer, which may migrate
+            pending.append(rows())
+
+        monkeypatch.setattr(_InlineRun, "_commit", checked_commit)
+        messages = Multiset()
+        enqueue = _InlineRun._enqueue
+
+        def counted_enqueue(run, producer, consumer, batch):
+            messages[type(batch).__name__] += 1
+            return enqueue(run, producer, consumer, batch)
+
+        monkeypatch.setattr(_InlineRun, "_enqueue", counted_enqueue)
+        resized = []
+
+        def relocate(commit):
+            resized.append(dict(commit.spec.edge_batch_size))
+            if commit.epoch != 1:
+                return None
+            spec = dc_replace(
+                commit.spec,
+                tasks=tuple(
+                    dc_replace(rt, socket=1) for rt in commit.spec.tasks
+                ),
+            )
+            moved = tuple(rt.task_id for rt in commit.spec.tasks)
+            return Migration(spec=spec, moved=moved, detail="test shuffle")
+
+        off = self._run("off", relocate, messages)
+        assert messages["ColumnBatch"] == 0
+        auto = self._run("auto", relocate, messages)
+        assert messages["ColumnBatch"] > 0
+        assert auto.epochs.migrations == off.epochs.migrations == 1
+        assert auto.epochs.committed == off.epochs.committed >= 3
+        assert any(resized), "adaptive batching never resized an edge"
+        assert pending and not any(pending)
+        assert auto.events_ingested == off.events_ingested == self.EVENTS
+        assert component_counts(auto) == component_counts(off)
+        assert sink_states(auto) == sink_states(off)
+
+
 class TestBarrierObserver:
     """The executor's ``on_epoch`` callback sees consistent commits."""
 

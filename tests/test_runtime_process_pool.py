@@ -396,8 +396,12 @@ class TestColumnarCoalescing:
             )
             batch.source_task = splitter.task_id
             batch.event_times = np.zeros(3)
-            worker._append_columns(*edge, batch)
-        worker._flush_columns(edge)
+            for sealed in worker.buffers[edge].append_columns(
+                batch, worker.spec.batch_for(edge)
+            ):
+                worker._send(*edge, sealed)
+        for sealed in worker.buffers[edge].flush():
+            worker._send(*edge, sealed)
         messages = sent[edge]
         assert [rows for _, rows, _ in messages] == [
             [("x",), ("y",), ("y",)],

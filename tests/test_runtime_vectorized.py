@@ -11,6 +11,8 @@ from collections import Counter
 
 import pytest
 
+from repro.apps.fraud_detection import build_fraud_detection
+from repro.apps.linear_road import build_linear_road
 from repro.apps.spike_detection import build_spike_detection
 from repro.apps.wordcount import build_wordcount
 from repro.dsps.engine import LocalEngine
@@ -38,9 +40,31 @@ REPLICATION = {
         "spike_detector": 2,
         "sink": 1,
     },
+    "fd": {"spout": 1, "parser": 2, "predictor": 2, "sink": 1},
+    # Kernel outputs on fan-out fields routes, the mixed-arity toll
+    # stream into the sink, and the multi-input toll notifier.
+    "lr": {
+        "spout": 1,
+        "parser": 1,
+        "dispatcher": 1,
+        "avg_speed": 2,
+        "las_avg_speed": 1,
+        "accident_detect": 1,
+        "count_vehicles": 2,
+        "accident_notify": 1,
+        "toll_notify": 2,
+        "daily_expenditure": 1,
+        "account_balance": 1,
+        "sink": 1,
+    },
 }
 
-BUILDERS = {"wc": build_wordcount, "sd": build_spike_detection}
+BUILDERS = {
+    "wc": build_wordcount,
+    "sd": build_spike_detection,
+    "fd": build_fraud_detection,
+    "lr": build_linear_road,
+}
 
 
 def run_app(app, vectorized, backend="inline", registry=None, **engine_kw):
@@ -91,7 +115,7 @@ def vectorized_counters(registry):
 
 
 class TestParity:
-    @pytest.mark.parametrize("app", ("wc", "sd"))
+    @pytest.mark.parametrize("app", ("wc", "sd", "fd", "lr"))
     def test_inline_on_off_identical(self, app):
         off = run_app(app, "off")
         on = run_app(app, "on")
