@@ -54,7 +54,6 @@ from repro.apps.wordcount import build_wordcount
 from repro.dsps.engine import LocalEngine
 from repro.metrics import MetricsRegistry, format_table
 from repro.runtime import FusionConfig, ProcessPoolBackend, shm_available
-from repro.runtime.dataplane import columns_available
 
 from support import QUICK, write_result
 
@@ -285,8 +284,6 @@ def _compare_modes(replication: dict | None) -> dict:
 
 
 def test_vectorized_throughput():
-    if not columns_available():
-        pytest.skip("numpy unavailable")
     if not shm_available():
         pytest.skip("no POSIX shared memory on this host")
     cores = _cores()

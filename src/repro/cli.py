@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "columnar kernel dispatch: auto (use numpy kernels when "
-            "operator and schema qualify), on (require numpy) or off "
+            "operator and schema qualify), on (same as auto) or off "
             "(scalar dispatch only; see docs/vectorized.md)"
         ),
     )

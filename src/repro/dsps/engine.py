@@ -206,9 +206,9 @@ class LocalEngine:
             otherwise ignored for the single-process inline backend.
         vectorized:
             Columnar kernel dispatch when the backend is given by name:
-            ``"auto"`` (default — use vectorized kernels when numpy and
-            the operator support them), ``"on"`` (fail loudly without
-            numpy) or ``"off"`` (scalar dispatch only); see
+            ``"auto"`` (default — use vectorized kernels when the
+            operator and the batch's schema support them), ``"on"``
+            (same as ``"auto"``) or ``"off"`` (scalar dispatch only); see
             docs/vectorized.md.
         string_dict:
             Adaptive string-dictionary encoding on the shm data plane

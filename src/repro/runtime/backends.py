@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.dsps.operators import Operator, Sink
 from repro.dsps.queues import CommunicationQueue, QueueStats
-from repro.dsps.tuples import JumboTuple, StreamTuple
+from repro.dsps.tuples import JumboTuple
 from repro.errors import (
     ExecutionError,
     InjectedFaultError,
@@ -40,16 +40,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
-from repro.runtime.dataplane.columns import (
-    VECTORIZED_MODES,
-    ColumnBatch,
-    EdgeBuffer,
-    burst,
-    column_runs,
-    columns_available,
-    route_columns,
-    schema_accepts,
-)
+from repro.runtime.dataplane.columns import VECTORIZED_MODES, ColumnBatch, burst
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
 from repro.runtime.epochs import (
     EpochCheckpoint,
@@ -57,23 +48,17 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochReport,
     Migration,
-    fast_forward,
 )
 from repro.runtime.fusion import validate_fuse
 from repro.runtime.overload import OverloadConfig, OverloadManager, SendRetryPolicy
-from repro.runtime.lowering import (
-    RuntimeSpec,
-    TaskRuntime,
-    apply_edge_batches,
-    instantiate_task,
-    instantiate_tasks,
-)
-from repro.runtime.results import RunResult, TaskStats
+from repro.runtime.lowering import RuntimeSpec, TaskRuntime, apply_edge_batches
+from repro.runtime.results import RunResult
+from repro.runtime.taskcore import TaskCore
 
 if TYPE_CHECKING:
     from typing import Callable
 
-    from repro.runtime.faults import FaultInjector
+    from repro.runtime.faults import Fault, FaultInjector
 
     #: Barrier observer: sees each committed epoch, may return a live
     #: plan migration to apply before the stream resumes.
@@ -125,15 +110,6 @@ def validate_vectorized(vectorized: str) -> None:
         raise ExecutionError(
             f"unknown vectorized mode {vectorized!r}; "
             f"expected one of {VECTORIZED_MODES}"
-        )
-
-
-def require_vectorized(vectorized: str) -> None:
-    """Enforce mode ``on``: columnar kernels must actually be runnable."""
-    if vectorized == "on" and not columns_available():
-        raise ExecutionError(
-            "vectorized mode 'on' requires numpy, which is not importable; "
-            "use 'auto' to fall through to scalar execution"
         )
 
 
@@ -295,7 +271,6 @@ class InlineBackend(ExecutorBackend):
     ) -> RunResult:
         if max_events < 0:
             raise TopologyError("max_events must be >= 0")
-        require_vectorized(self.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         return _InlineRun(
             spec,
@@ -313,6 +288,15 @@ class InlineBackend(ExecutorBackend):
 
 class _InlineRun:
     """Mutable state of one inline execution (one object per ``run()``).
+
+    Operator execution and routing live in one
+    :class:`~repro.runtime.taskcore.TaskCore` over every task; this class
+    is the cooperative scheduler around it.  Each task loop is a
+    generator that calls the core, then enqueues the sealed payloads the
+    core emitted meanwhile (its *outbox*) through :meth:`_enqueue`,
+    suspending while a bounded queue is full.  No other task runs inside
+    a core call, so every enqueue attempt sees the queue state it would
+    have seen had the payload been enqueued the moment it sealed.
 
     With epoch barriers enabled the run is a sequence of *phases*: each
     phase advances every spout to the next epoch boundary and drains the
@@ -341,7 +325,6 @@ class _InlineRun:
         self.max_events = max_events
         self.registry = registry
         self.injector = injector
-        self.vectorized = vectorized
         self.epochs = epochs
         self.on_epoch = on_epoch
         # Adaptive batch sizing only ever adjusts at epoch barriers; an
@@ -362,41 +345,44 @@ class _InlineRun:
             if overload is not None
             else None
         )
-        # runtime.vectorized.{batches,tuples,fallbacks} for this run.
-        self.vec = {"batches": 0, "tuples": 0, "fallbacks": 0}
-        # runtime.fusion.{composed_batches,composed_tuples,fallbacks}:
-        # columnar handoffs between fused stages vs. scalar bursts.
-        self.fus = {"composed_batches": 0, "composed_tuples": 0, "fallbacks": 0}
+        if resume is not None and epochs is None:
+            raise ExecutionError(
+                "resume from a checkpoint requires epoch barriers "
+                "(pass an EpochConfig)"
+            )
         self.instrumented = registry.enabled
         # Per-task wall-clock: needed for gauges when instrumented, and
         # as the drift detector's Te signal when a barrier observer runs.
         self.collect_wall = self.instrumented or on_epoch is not None
         self.wall: dict[int, float] = defaultdict(float)
-        self.instances = instantiate_tasks(spec)
-        self.stats = {
-            rt.task_id: TaskStats(task_id=rt.task_id, component=rt.component)
-            for rt in spec.tasks
+        self.queues: dict[tuple[int, int], CommunicationQueue] = {
+            (edge.producer, edge.consumer): CommunicationQueue(
+                edge.producer,
+                edge.consumer,
+                spec.queue_capacity[(edge.producer, edge.consumer)],
+            )
+            for edge in spec.edges
         }
-        self.queues: dict[tuple[int, int], CommunicationQueue] = {}
-        self.buffers: dict[tuple[int, int], EdgeBuffer] = {}
-        for edge in spec.edges:
-            key = (edge.producer, edge.consumer)
-            self.queues[key] = CommunicationQueue(
-                edge.producer, edge.consumer, spec.queue_capacity[key]
-            )
-            self.buffers[key] = EdgeBuffer(
-                edge.producer, edge.consumer, spec.batch_for(key)
-            )
-        self.counters: dict[tuple[int, str], int] = defaultdict(int)
+        # Sealed payloads emitted during the current core call, enqueued
+        # by the calling task loop (see _drain_outbox).
+        self.outbox: list[tuple[int, int, JumboTuple | ColumnBatch]] = []
+        self.core = TaskCore(
+            spec,
+            spec.tasks,
+            max_events,
+            vectorized=vectorized,
+            injector=injector,
+            registry=registry,
+            emit=self._emit,
+            fault=self._fault,
+            resume=resume,
+        )
+        self.buffers = self.core.buffers  # per-edge pending rows, empty at barriers
         self.done: set[int] = set()  # tasks finished in the current phase
-        self.events = 0
+        self.events = resume.events_ingested if resume is not None else 0
         self.ticks = 0  # processed batches/events; stall detector input
-        self.spout_produced: dict[int, int] = {
-            rt.task_id: 0 for rt in spec.tasks if rt.is_spout
-        }
-        self.exhausted: set[int] = set()  # spouts whose source dried up
-        self.start_epoch = 0
-        self.last_checkpoint: EpochCheckpoint | None = None
+        self.start_epoch = resume.epoch + 1 if resume is not None else 0
+        self.last_checkpoint: EpochCheckpoint | None = resume
         self.epoch_report = (
             EpochReport(
                 interval=epochs.interval,
@@ -405,38 +391,6 @@ class _InlineRun:
             if epochs is not None
             else None
         )
-        if resume is not None:
-            if epochs is None:
-                raise ExecutionError(
-                    "resume from a checkpoint requires epoch barriers "
-                    "(pass an EpochConfig)"
-                )
-            self._restore(resume)
-        # Persistent per-spout iterators: one source per run, paused at
-        # phase boundaries instead of re-created per phase.
-        self.spout_iters = {
-            rt.task_id: self.instances[rt.task_id].next_batch(max_events)
-            for rt in spec.tasks
-            if rt.is_spout
-        }
-        if resume is not None:
-            # Advance each source past the tuples of committed epochs.
-            for task_id, iterator in self.spout_iters.items():
-                if fast_forward(iterator, self.spout_produced[task_id]):
-                    self.exhausted.add(task_id)
-
-    def _restore(self, checkpoint: EpochCheckpoint) -> None:
-        """Rebuild runtime state from a committed checkpoint (recovery)."""
-        payload = checkpoint.payload()
-        for task_id, state in payload["states"].items():
-            if state is not None:
-                self.instances[task_id].restore_state(state)
-        self.counters.update(payload["counters"])
-        self.stats = payload["stats"]
-        self.events = checkpoint.events_ingested
-        self.spout_produced.update(checkpoint.spout_produced)
-        self.start_epoch = checkpoint.epoch + 1
-        self.last_checkpoint = checkpoint
 
     # ------------------------------------------------------------------
     # Scheduler
@@ -477,7 +431,7 @@ class _InlineRun:
                 limit = min(self.max_events, limit + allowance)
                 final = limit >= self.max_events
                 self._run_phase(limit, final=final)
-                if not final and self.exhausted >= set(self.spout_produced):
+                if not final and self.core.exhausted >= set(self.core.spout_produced):
                     # Sources dried up before the event budget: commit
                     # what ran, then close the stream with a flush-only
                     # final phase.
@@ -501,10 +455,8 @@ class _InlineRun:
                 result,
                 {key: q.stats for key, q in self.queues.items()},
             )
-            for name, value in self.vec.items():
-                self.registry.counter(f"runtime.vectorized.{name}").inc(value)
-            for name, value in self.fus.items():
-                self.registry.counter(f"runtime.fusion.{name}").inc(value)
+            for name, value in self.core.counts().items():
+                self.registry.counter(f"runtime.{name}").inc(value)
             if self.controller is not None:
                 for name, value in self.controller.report().items():
                     self.registry.counter(f"runtime.batch.{name}").inc(value)
@@ -533,26 +485,17 @@ class _InlineRun:
         run each operator's :meth:`~repro.dsps.operators.Operator.flush`.
         """
         self.done = set()
-        # Fused chains are re-read from the spec each phase: a live
-        # migration may have re-derived them (refit_fusion), and the
-        # eliminated edges' queues are guaranteed empty at the barrier.
-        by_id = {rt.task_id: rt for rt in self.spec.tasks}
-        chains = {
-            chain[0]: tuple(by_id[tid] for tid in chain)
-            for chain in self.spec.fusion
-        }
-        members = self.spec.fused_member_ids
+        # Load shedding applies at the sources, before any downstream
+        # work is invested; the ladder only moves at barriers, so the
+        # shed rung is constant within a phase.
+        self.core.shedder = (
+            self.overload.shedder
+            if self.overload is not None and self.overload.shed_active
+            else None
+        )
         active: list[tuple[int, Iterator[None]]] = []
-        for rt in self.spec.tasks:
-            if rt.task_id in members:
-                continue  # executed inline by its chain head
-            if rt.is_spout:
-                loop = self._spout_loop(rt, limit, final)
-            elif rt.task_id in chains:
-                loop = self._chain_loop(chains[rt.task_id], final)
-            else:
-                loop = self._operator_loop(rt, final)
-            active.append((rt.task_id, loop))
+        for task_id, stages in self.core.stages.items():
+            active.append((task_id, self._task_loop(stages, limit, final)))
         while active:
             before = self.ticks
             survivors: list[tuple[int, Iterator[None]]] = []
@@ -591,7 +534,7 @@ class _InlineRun:
     def _sink_received(self) -> int:
         return sum(
             instance.received
-            for instance in self.instances.values()
+            for instance in self.core.instances.values()
             if isinstance(instance, Sink)
         )
 
@@ -599,19 +542,20 @@ class _InlineRun:
         """Commit the quiescent state as a checkpoint; run the observer."""
         report = self.epoch_report
         assert report is not None
+        core = self.core
         started = perf_counter()
         states = {
             task_id: instance.snapshot_state()
-            for task_id, instance in self.instances.items()
+            for task_id, instance in core.instances.items()
             if isinstance(instance, Operator)
         }
         checkpoint = EpochCheckpoint.capture(
             epoch,
             events_ingested=self.events,
-            spout_produced=self.spout_produced,
+            spout_produced=core.spout_produced,
             states=states,
-            counters=self.counters,
-            stats=self.stats,
+            counters=core.counters,
+            stats=core.stats,
             sink_received=self._sink_received(),
         )
         report.barrier_ns += (perf_counter() - started) * 1e9
@@ -647,13 +591,13 @@ class _InlineRun:
             if changed:
                 self.spec = apply_edge_batches(self.spec, changed)
                 for key, size in changed.items():
-                    self.buffers[key].batch_size = size
+                    core.buffers[key].batch_size = size
         if self.on_epoch is not None:
             commit = EpochCommit(
                 epoch=epoch,
                 spec=self.spec,
                 checkpoint=checkpoint,
-                task_stats=self.stats,
+                task_stats=core.stats,
                 task_wall_ns={t: s * 1e9 for t, s in self.wall.items()},
                 events_ingested=self.events,
                 overload=overload_state,
@@ -670,34 +614,19 @@ class _InlineRun:
         The stream is already paused at the barrier; moved tasks are
         re-instantiated under the new placement and restored *from the
         checkpoint blob* — migration exercises the exact serialize →
-        deserialize → restore path a cross-process handoff needs.
+        deserialize → restore path a cross-process handoff needs.  The
+        new spec's fused chains apply from the next phase on (the
+        eliminated edges' queues are empty at the barrier).
         """
         new_spec = migration.spec
-        if {rt.task_id for rt in new_spec.tasks} != set(self.instances):
+        if {rt.task_id for rt in new_spec.tasks} != set(self.core.instances):
             raise ExecutionError(
                 "live migration cannot add or remove tasks; "
                 "replication changes require a restart"
             )
         started = perf_counter()
-        payload = checkpoint.payload()
         self.spec = new_spec
-        by_id = {rt.task_id: rt for rt in new_spec.tasks}
-        for task_id in migration.moved:
-            rt = by_id[task_id]
-            instance = instantiate_task(new_spec, rt)
-            if isinstance(instance, Operator):
-                state = payload["states"].get(task_id)
-                if state is not None:
-                    instance.restore_state(state)
-                self.instances[task_id] = instance
-            else:
-                # A moved spout restarts its deterministic source and
-                # fast-forwards to the committed position.
-                self.instances[task_id] = instance
-                iterator = instance.next_batch(self.max_events)
-                if fast_forward(iterator, self.spout_produced[task_id]):
-                    self.exhausted.add(task_id)
-                self.spout_iters[task_id] = iterator
+        self.core.migrate(new_spec, migration.moved, checkpoint.payload()["states"])
         pause_ns = (perf_counter() - started) * 1e9
         report = self.epoch_report
         assert report is not None
@@ -717,13 +646,13 @@ class _InlineRun:
         """Current run state as a result (complete or mid-failure)."""
         sinks: dict[str, list[Sink]] = defaultdict(list)
         for rt in self.spec.tasks:
-            instance = self.instances[rt.task_id]
+            instance = self.core.instances[rt.task_id]
             if isinstance(instance, Sink):
                 sinks[rt.component].append(instance)
         return RunResult(
             topology_name=self.spec.topology.name,
             events_ingested=self.events,
-            task_stats=self.stats,
+            task_stats=self.core.stats,
             sinks=dict(sinks),
             fault_summary=self.injector.summary() if self.injector else None,
             epochs=self.epoch_report,
@@ -742,17 +671,18 @@ class _InlineRun:
         return tuple(sorted(sockets))
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Core hooks
     # ------------------------------------------------------------------
-    def _fault_tick(self, rt: TaskRuntime) -> None:
-        """Count one tuple at ``rt``; act on a fired crash/raise fault.
+    def _emit(
+        self, producer: int, consumer: int, sealed: JumboTuple | ColumnBatch
+    ) -> None:
+        self.outbox.append((producer, consumer, sealed))
 
-        ``stall`` and ``drop`` faults only flip injector state here; the
-        task loops and :meth:`_enqueue` honor them at their call sites.
-        """
-        fault = self.injector.tick(rt.task_id)
-        if fault is None:
-            return
+    def _fault(self, rt: TaskRuntime, fault: "Fault") -> None:
+        """Act on a fault fired at ``rt``: crash and raise end the run
+        with the typed error a process worker would produce; a stall
+        stops the task (:meth:`_task_loop`).  ``drop`` faults are
+        honored at :meth:`_enqueue`."""
         socket = rt.socket if rt.socket is not None else 0
         if fault.kind == "crash":
             # Single-process simulation of a worker loss: the typed error
@@ -766,105 +696,57 @@ class _InlineRun:
                 f"injected operator failure: {fault.describe()}",
                 failed_sockets=(socket,),
             )
+        if fault.kind == "stall":
+            raise _Stalled
 
     # ------------------------------------------------------------------
     # Task loops (generators: ``yield`` = cannot progress right now)
     # ------------------------------------------------------------------
-    def _histogram(self, rt: TaskRuntime):
-        if not self.instrumented:
-            return None
-        return self.registry.histogram(
-            f"engine.{rt.component}.{rt.task.replica_start}.process_ns"
-        )
-
-    def _spout_loop(self, rt: TaskRuntime, limit: int, final: bool) -> Iterator[None]:
-        stats = self.stats[rt.task_id]
-        histogram = self._histogram(rt)
-        iterator = self.spout_iters[rt.task_id]
-        # Load shedding applies at the sources, before any downstream
-        # work is invested; the shed rung is constant within a phase
-        # (the ladder only moves at barriers), so bind it here once.
-        shed = (
-            self.overload.shedder
-            if self.overload is not None and self.overload.shed_active
-            else None
-        )
-        # ``produced`` is cumulative across phases (and across a resume):
-        # event times and epoch boundaries count from the run's origin.
-        produced = self.spout_produced[rt.task_id]
-        while produced < limit and rt.task_id not in self.exhausted:
-            try:
-                values = next(iterator)
-            except StopIteration:
-                self.exhausted.add(rt.task_id)
-                break
-            if self.injector is not None:
-                self._fault_tick(rt)
-                if self.injector.is_stalled(rt.task_id):
-                    while True:  # simulated stall: never produce again
-                        yield
-            started = perf_counter() if histogram is not None else 0.0
-            item = StreamTuple(
-                values=values,
-                source_task=rt.task_id,
-                event_time_ns=float(produced),
-            )
-            stats.record_out(item.stream, item.payload_size_bytes)
-            if shed is None:
-                yield from self._route(rt, item)
+    def _task_loop(
+        self, stages: tuple[TaskRuntime, ...], limit: int, final: bool
+    ) -> Iterator[None]:
+        """One scheduled task (spout, operator or fused chain) for one
+        phase: its input, then its flush, then done."""
+        head = stages[0]
+        try:
+            if head.is_spout:
+                yield from self._spout_input(head, limit)
             else:
-                yield from self._route(rt, item, shed_offset=produced)
-            produced += 1
-            self.spout_produced[rt.task_id] = produced
+                yield from self._operator_input(head)
+            self.core.flush(head.task_id, final)
+        except _Stalled:
+            # An injected stall: enqueue what the task emitted before it,
+            # then never progress again; the scheduler's no-progress
+            # watchdog raises StallError.
+            yield from self._drain_outbox()
+            while True:
+                yield
+        yield from self._drain_outbox()
+        self.done.update(rt.task_id for rt in stages)
+
+    def _spout_input(self, rt: TaskRuntime, limit: int) -> Iterator[None]:
+        # ``spout_produced`` is cumulative across phases (and across a
+        # resume): event times and epoch boundaries count from the run's
+        # origin.
+        core = self.core
+        task_id = rt.task_id
+        while core.spout_produced[task_id] < limit and task_id not in core.exhausted:
+            if not core.spout(rt):
+                break
             self.events += 1
             self.ticks += 1
-            if histogram is not None:
-                histogram.observe((perf_counter() - started) * 1e9)
-        yield from self._flush_buffers(rt)
-        self.done.add(rt.task_id)
+            if self.outbox:
+                yield from self._drain_outbox()
 
-    def _operator_loop(self, rt: TaskRuntime, final: bool) -> Iterator[None]:
-        operator = self.instances[rt.task_id]
-        assert isinstance(operator, Operator)
-        stats = self.stats[rt.task_id]
-        histogram = self._histogram(rt)
-        # Batch fast path: one process_batch call per drained batch, for
-        # operators that override it.  Only when nothing needs to observe
-        # individual tuples — fault ticks and per-tuple timing both do.
-        batch_fn = (
-            operator.process_batch
-            if (
-                histogram is None
-                and self.injector is None
-                and type(operator).process_batch is not Operator.process_batch
-            )
-            else None
-        )
-        # Columnar fast path: one numpy kernel call per run of joinable
-        # drained payloads, whose outputs route as columns.  A
-        # kernel-capable operator whose input cannot go columnar
-        # (disqualified schema, fault injection armed, per-tuple timing)
-        # is a counted fallback.
-        vectorizable = (
-            self.vectorized != "off"
-            and columns_available()
-            and operator.supports_columns()
-        )
-        column_fn = (
-            operator.process_columns
-            if vectorizable and histogram is None and self.injector is None
-            else None
-        )
+    def _operator_input(self, rt: TaskRuntime) -> Iterator[None]:
+        """Drain the head's queues into the core until every producer is
+        done and the queues are empty."""
+        core = self.core
         producers = {edge.producer for edge in rt.in_edges}
         in_queues = [
             self.queues[(edge.producer, edge.consumer)] for edge in rt.in_edges
         ]
         while True:
-            if self.injector is not None and self.injector.is_stalled(rt.task_id):
-                # Simulated stall: stop consuming forever.  The scheduler's
-                # no-progress watchdog converts this into a StallError.
-                yield
-                continue
             progressed = False
             for queue in in_queues:
                 while True:
@@ -873,326 +755,35 @@ class _InlineRun:
                         break
                     progressed = True
                     self.ticks += 1
-                    if column_fn is None:
-                        if vectorizable:
-                            self.vec["fallbacks"] += 1
-                        runs = [burst(payloads)]
-                    else:
-                        runs = self._column_inputs(
-                            payloads, operator.column_schemas
-                        )
-                    for run in runs:
-                        if isinstance(run, ColumnBatch):
-                            yield from self._process_columns(rt, column_fn, run)
-                        else:
-                            yield from self._process_items(
-                                rt, run, batch_fn, histogram
-                            )
+                    inputs = [
+                        p.tuples if isinstance(p, JumboTuple) else p
+                        for p in payloads
+                    ]
+                    if self.injector is None:
+                        core.process(rt.task_id, inputs)
+                        if self.outbox:
+                            yield from self._drain_outbox()
+                        continue
+                    # With faults armed (scalar tiers only) the core takes
+                    # one tuple per call and its output is enqueued before
+                    # the next, so a fault fires when downstream tasks have
+                    # progressed as far as a per-tuple schedule lets them:
+                    # the partial results a crash leaves depend on it.
+                    for item in burst(inputs):
+                        core.process(rt.task_id, [[item]])
+                        if self.outbox:
+                            yield from self._drain_outbox()
             if producers <= self.done:
                 if all(queue.is_empty for queue in in_queues):
-                    break
+                    return
                 continue
             if not progressed:
                 yield
-        if final:
-            # flush() ends the *stream*, not a phase: windowed leftovers
-            # are only emitted once the run truly closes.
-            for stream, values in operator.flush():
-                out = StreamTuple(
-                    values=tuple(values), stream=stream, source_task=rt.task_id
-                )
-                stats.record_out(stream, out.payload_size_bytes)
-                yield from self._route(rt, out)
-        yield from self._flush_buffers(rt)
-        self.done.add(rt.task_id)
 
-    def _column_inputs(
-        self, payloads: list, schemas
-    ) -> Iterator[ColumnBatch | list[StreamTuple]]:
-        """A kernel consumer's drained payloads, one kernel input per run
-        (:func:`~repro.runtime.dataplane.columns.column_runs`): a
-        ColumnBatch when the kernel negotiates the run's schema, else the
-        run's tuples for the scalar path (a counted fallback)."""
-        for run in column_runs(payloads):
-            batch = (
-                run if isinstance(run, ColumnBatch) else ColumnBatch.from_tuples(run)
-            )
-            if batch is not None and schema_accepts(schemas, batch.schema):
-                yield batch
-                continue
-            self.vec["fallbacks"] += 1
-            yield run if isinstance(run, list) else run.to_tuples()
-
-    def _process_columns(
-        self, rt: TaskRuntime, kernel, batch: ColumnBatch
-    ) -> Iterator[None]:
-        """One kernel call; its outputs route as columns."""
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += len(batch)
-        self.vec["batches"] += 1
-        self.vec["tuples"] += len(batch)
-        for out in kernel(batch):
-            if len(out) == 0:
-                continue
-            out.stamp_from(batch, rt.task_id)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            yield from self._route_columns(rt, out)
-
-    def _process_items(
-        self, rt: TaskRuntime, items: list[StreamTuple], batch_fn, histogram
-    ) -> Iterator[None]:
-        """The scalar path: one process_batch call, or process() per tuple."""
-        operator = self.instances[rt.task_id]
-        stats = self.stats[rt.task_id]
-        if batch_fn is not None:
-            stats.tuples_in += len(items)
-            for index, stream, values in batch_fn(items):
-                out = items[index].derive(
-                    values, stream=stream, source_task=rt.task_id
-                )
-                stats.record_out(stream, out.payload_size_bytes)
-                yield from self._route(rt, out)
-            return
-        for item in items:
-            stats.tuples_in += 1
-            if self.injector is not None:
-                self._fault_tick(rt)
-                if self.injector.is_stalled(rt.task_id):
-                    # Simulated stall mid-batch: stop right here and never
-                    # progress again; the scheduler's no-progress watchdog
-                    # raises StallError.
-                    while True:
-                        yield
-            if histogram is None:
-                emitted = operator.process(item)
-            else:
-                # Timed path: materialize the generator so the observed
-                # wall-clock covers the whole per-tuple work of the
-                # operator.
-                started = perf_counter()
-                emitted = list(operator.process(item))
-                histogram.observe((perf_counter() - started) * 1e9)
-            for stream, values in emitted:
-                out = item.derive(values, stream=stream, source_task=rt.task_id)
-                stats.record_out(stream, out.payload_size_bytes)
-                yield from self._route(rt, out)
-
-    # ------------------------------------------------------------------
-    # Fused chains: the head executes every stage inline (see
-    # repro.runtime.fusion).  Intermediates never touch a queue; the
-    # chain tail routes through its own (real) out-edges.  Per-stage
-    # stats, fault ticks and histograms match the unfused run exactly,
-    # and a linear chain preserves per-tuple FIFO order, so results are
-    # bit-identical to running the same spec unfused.
-    # ------------------------------------------------------------------
-    def _chain_kernels(self, chain: tuple[TaskRuntime, ...]) -> list:
-        """Per-stage columnar kernels; ``None`` forces the scalar path
-        for that stage (same gates as the unfused columnar fast path)."""
-        if (
-            self.vectorized == "off"
-            or not columns_available()
-            or self.injector is not None
-            or self.instrumented
-        ):
-            return [None] * len(chain)
-        kernels = []
-        for rt in chain:
-            operator = self.instances[rt.task_id]
-            capable = (
-                isinstance(operator, Operator) and operator.supports_columns()
-            )
-            kernels.append(operator.process_columns if capable else None)
-        return kernels
-
-    def _chain_loop(
-        self, chain: tuple[TaskRuntime, ...], final: bool
-    ) -> Iterator[None]:
-        head = chain[0]
-        head_op = self.instances[head.task_id]
-        kernels = self._chain_kernels(chain)
-        histograms = [self._histogram(rt) for rt in chain]
-        producers = {edge.producer for edge in head.in_edges}
-        in_queues = [
-            self.queues[(edge.producer, edge.consumer)] for edge in head.in_edges
-        ]
-        while True:
-            if self.injector is not None and any(
-                self.injector.is_stalled(rt.task_id) for rt in chain
-            ):
-                # A stalled stage stalls the whole chain: there is no
-                # queue in front of it to absorb input.
-                yield
-                continue
-            progressed = False
-            for queue in in_queues:
-                while True:
-                    payloads = queue.drain()
-                    if not payloads:
-                        break
-                    progressed = True
-                    self.ticks += 1
-                    if kernels[0] is None:
-                        runs = [burst(payloads)]
-                    else:
-                        runs = self._column_inputs(
-                            payloads, head_op.column_schemas
-                        )
-                    for run in runs:
-                        if isinstance(run, ColumnBatch):
-                            yield from self._chain_columns(
-                                chain, kernels, histograms, 0, run
-                            )
-                            continue
-                        for item in run:
-                            yield from self._chain_item(chain, histograms, 0, item)
-            if producers <= self.done:
-                if all(queue.is_empty for queue in in_queues):
-                    break
-                continue
-            if not progressed:
-                yield
-        if final:
-            # Staged flush: stage i's trailing output runs through stages
-            # i+1.. before those flush — exactly the order the unfused
-            # run produces (a downstream operator only flushes once its
-            # producer has flushed and drained).
-            for position, rt in enumerate(chain):
-                operator = self.instances[rt.task_id]
-                stats = self.stats[rt.task_id]
-                for stream, values in operator.flush():
-                    out = StreamTuple(
-                        values=tuple(values), stream=stream, source_task=rt.task_id
-                    )
-                    stats.record_out(stream, out.payload_size_bytes)
-                    if position + 1 == len(chain):
-                        yield from self._route(rt, out)
-                    elif stream == rt.out_edges[0].stream:
-                        yield from self._chain_item(
-                            chain, histograms, position + 1, out
-                        )
-        for rt in chain:
-            yield from self._flush_buffers(rt)
-        for rt in chain:
-            self.done.add(rt.task_id)
-
-    def _chain_item(
-        self,
-        chain: tuple[TaskRuntime, ...],
-        histograms: list,
-        position: int,
-        item: StreamTuple,
-    ) -> Iterator[None]:
-        """Run one tuple through stage ``position`` and onward."""
-        rt = chain[position]
-        operator = self.instances[rt.task_id]
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += 1
-        if self.injector is not None:
-            self._fault_tick(rt)
-            if self.injector.is_stalled(rt.task_id):
-                while True:  # stall mid-chain: never progress again
-                    yield
-        histogram = histograms[position]
-        if histogram is None:
-            emitted = operator.process(item)
-        else:
-            started = perf_counter()
-            emitted = list(operator.process(item))
-            histogram.observe((perf_counter() - started) * 1e9)
-        last = position + 1 == len(chain)
-        for stream, values in emitted:
-            out = item.derive(values, stream=stream, source_task=rt.task_id)
-            stats.record_out(stream, out.payload_size_bytes)
-            if last:
-                yield from self._route(rt, out)
-            elif stream == rt.out_edges[0].stream:
-                yield from self._chain_item(chain, histograms, position + 1, out)
-            # else: emission on a stream with no route — dropped, exactly
-            # as _route drops it in the unfused run.
-
-    def _chain_columns(
-        self,
-        chain: tuple[TaskRuntime, ...],
-        kernels: list,
-        histograms: list,
-        position: int,
-        batch: ColumnBatch,
-    ) -> Iterator[None]:
-        """Run one columnar batch through stage ``position`` and onward,
-        keeping it columnar across stages whenever the next kernel
-        negotiates the intermediate schema."""
-        rt = chain[position]
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += len(batch)
-        self.vec["batches"] += 1
-        self.vec["tuples"] += len(batch)
-        if position:
-            # A composed handoff: this batch reached the stage without
-            # ever materializing as tuples or touching a queue.
-            self.fus["composed_batches"] += 1
-            self.fus["composed_tuples"] += len(batch)
-        last = position + 1 == len(chain)
-        for out in kernels[position](batch):
-            if len(out) == 0:
-                continue
-            out.stamp_from(batch, rt.task_id)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            if last:
-                yield from self._route_columns(rt, out)
-                continue
-            if out.stream != rt.out_edges[0].stream:
-                continue  # unrouted stream, dropped as in the scalar path
-            next_op = self.instances[chain[position + 1].task_id]
-            kernel = kernels[position + 1]
-            schemas = next_op.column_schemas
-            if kernel is not None and schema_accepts(schemas, out.schema):
-                yield from self._chain_columns(
-                    chain, kernels, histograms, position + 1, out
-                )
-            else:
-                if kernel is not None:
-                    self.vec["fallbacks"] += 1
-                self.fus["fallbacks"] += 1
-                for item in out.to_tuples():
-                    yield from self._chain_item(
-                        chain, histograms, position + 1, item
-                    )
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _route(
-        self, rt: TaskRuntime, item: StreamTuple, shed_offset: int | None = None
-    ) -> Iterator[None]:
-        for route in rt.routes:
-            if route.stream != item.stream:
-                continue
-            key = (rt.task_id, route.counter_key)
-            indices = route.grouping.route(
-                item, len(route.consumers), self.counters[key]
-            )
-            # Routing counters advance whether or not the tuple is shed,
-            # so a shed run routes survivors exactly like an unshed run.
-            self.counters[key] += 1
-            for index in indices:
-                consumer = route.consumers[index]
-                if shed_offset is not None and self.overload.shedder.should_shed(
-                    (rt.task_id, consumer),
-                    shed_offset,
-                    item,
-                    getattr(self.instances[rt.task_id], "sheddable", None),
-                ):
-                    continue
-                for sealed in self.buffers[(rt.task_id, consumer)].append(item):
-                    yield from self._enqueue(rt.task_id, consumer, sealed)
-
-    def _route_columns(self, rt: TaskRuntime, out: ColumnBatch) -> Iterator[None]:
-        """Route one kernel output batch to its edge buffers
-        (:func:`~repro.runtime.dataplane.columns.route_columns`)."""
-        for consumer, sealed in route_columns(
-            rt, out, self.counters, self.buffers, self.spec.batch_for
-        ):
-            yield from self._enqueue(rt.task_id, consumer, sealed)
+    def _drain_outbox(self) -> Iterator[None]:
+        pending, self.outbox = self.outbox, []
+        for producer, consumer, sealed in pending:
+            yield from self._enqueue(producer, consumer, sealed)
 
     def _enqueue(
         self, producer: int, consumer: int, batch: JumboTuple | ColumnBatch
@@ -1217,10 +808,9 @@ class _InlineRun:
         queue.put(batch)
         self.ticks += 1
 
-    def _flush_buffers(self, rt: TaskRuntime) -> Iterator[None]:
-        for edge in rt.out_edges:
-            for sealed in self.buffers[(edge.producer, edge.consumer)].flush():
-                yield from self._enqueue(edge.producer, edge.consumer, sealed)
+
+class _Stalled(Exception):
+    """Raised by the inline fault hook when an injected stall fires."""
 
 
 #: Sentinel distinguishing a finished task loop from a yielded suspension.

@@ -675,8 +675,8 @@ class BatchCodec:
         self, payload: bytes, edge: tuple[int, int] | None = None
     ) -> ColumnBatch | None:
         """Decode a columnar payload into a :class:`ColumnBatch`, or
-        ``None`` when the payload is a pickle fallback, is empty, or
-        numpy is unavailable (callers then use :meth:`decode`).
+        ``None`` when the payload is a pickle fallback or is empty
+        (callers then use :meth:`decode`).
 
         Fixed-width columns ("q"/"d"/"?") and the event-time column are
         **zero-copy, read-only** ``np.frombuffer`` views over ``payload``;
@@ -685,7 +685,7 @@ class BatchCodec:
         table; variable-length columns materialize Python lists exactly
         as :meth:`decode` would.
         """
-        if np is None or payload[0] == _MAGIC_PICKLE:
+        if payload[0] == _MAGIC_PICKLE:
             return None
         n, source, stream_len = _HEADER.unpack_from(payload, 1)
         if n == 0:

@@ -28,20 +28,15 @@ scalar path instead.  Correctness never depends on a batch qualifying.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-try:  # numpy is required for columnar execution, not for the engine.
-    import numpy as np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.dsps.queues import OutputBuffer
 from repro.dsps.tuples import JumboTuple, StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy.typing as npt
-
-    from repro.runtime.lowering import TaskRuntime
 
 #: Typecodes an operator may declare (shared with the wire format).
 FIELD_TYPECODES = "qd?sy"
@@ -57,9 +52,10 @@ DICT_TYPECODE = "D"
 BATCH_TYPECODES = FIELD_TYPECODES + DICT_TYPECODE
 
 #: Vectorized execution modes accepted by backends and the CLI:
-#: ``auto`` uses columnar kernels when available and falls through
-#: silently, ``on`` demands numpy and fails loudly when it is missing,
-#: ``off`` disables columnar dispatch entirely.
+#: ``auto`` uses columnar kernels where operator and schema qualify and
+#: falls through silently otherwise, ``on`` behaves as ``auto`` (numpy
+#: is a hard dependency, so kernels are always runnable), ``off``
+#: disables columnar dispatch entirely.
 VECTORIZED_MODES = ("auto", "on", "off")
 
 #: Dtype negotiation table: wire typecode -> numpy dtype for the
@@ -71,11 +67,6 @@ COLUMN_DTYPES = {"q": "<i8", "d": "<f8", "?": "|b1"}
 #: types a columnar batch can hold; ``tests/test_dataplane_columns.py``
 #: asserts the two stay in sync.
 _FIXED_PAYLOAD_BYTES = {"q": 28, "d": 24, "?": 16}
-
-
-def columns_available() -> bool:
-    """True when numpy is importable, i.e. columnar kernels can run."""
-    return np is not None
 
 
 def validate_schema(code: str, *, allow_dict: bool = False) -> None:
@@ -177,9 +168,7 @@ class DictColumn:
 
     def __getitem__(self, item):
         """Int -> decoded string; slice/fancy index -> coded sub-column."""
-        if isinstance(item, (int,)) or (
-            np is not None and isinstance(item, np.integer)
-        ):
+        if isinstance(item, (int, np.integer)):
             return self.table[self.codes[item]]
         if isinstance(item, slice):
             return DictColumn(self.codes[item], self.table)
@@ -284,7 +273,7 @@ class ColumnBatch:
         the input tuples.
         """
         n = len(tuples)
-        if n == 0 or np is None:
+        if n == 0:
             return None
         first = tuples[0]
         stream = first.stream
@@ -354,8 +343,6 @@ class ColumnBatch:
         and leave ``event_times``/``source_task`` for the executor to
         stamp from the input batch via :meth:`stamp_from`.
         """
-        if np is None:  # pragma: no cover - kernels only run with numpy
-            raise RuntimeError("ColumnBatch.build requires numpy")
         validate_schema(schema, allow_dict=True)
         if len(columns) != len(schema):
             raise ValueError(
@@ -604,7 +591,7 @@ class EdgeBuffer:
 
     Scalar tuples accumulate in an :class:`~repro.dsps.queues.OutputBuffer`;
     kernel-output rows accumulate as :class:`ColumnBatch` pieces and seal
-    into messages of exactly the requested size.  Whichever side has rows
+    into messages of exactly the edge's batch size.  Whichever side has rows
     pending seals before the other side takes a row, so at most one side
     is ever pending and the edge stays FIFO.  Pending rows that a new
     piece cannot :meth:`~ColumnBatch.joins` (another schema, or a
@@ -624,7 +611,8 @@ class EdgeBuffer:
 
     @property
     def batch_size(self) -> int:
-        """Scalar seal size (the backends keep it at ``batch_for(edge)``)."""
+        """Seal size of either side (the backends keep it at
+        ``batch_for(edge)``)."""
         return self.scalar.batch_size
 
     @batch_size.setter
@@ -639,10 +627,10 @@ class EdgeBuffer:
             sealed.append(jumbo)
         return sealed
 
-    def append_columns(
-        self, piece: ColumnBatch, size: int
-    ) -> list[JumboTuple | ColumnBatch]:
-        """Buffer columnar rows, sealing every full ``size``-row batch."""
+    def append_columns(self, piece: ColumnBatch) -> list[JumboTuple | ColumnBatch]:
+        """Buffer columnar rows, sealing every full batch (the size is
+        read per call, so a resize applies to the next message)."""
+        size = self.batch_size
         sealed: list = []
         jumbo = self.scalar.flush()
         if jumbo is not None:
@@ -683,47 +671,14 @@ class EdgeBuffer:
         return ColumnBatch.concat(taken)
 
 
-def route_columns(
-    rt: "TaskRuntime",
-    out: ColumnBatch,
-    counters: dict,
-    buffers: Mapping[tuple[int, int], EdgeBuffer],
-    batch_for: Callable[[tuple[int, int]], int],
-) -> Iterator[tuple[int, JumboTuple | ColumnBatch]]:
-    """Route one kernel output batch of task ``rt`` to its edge buffers.
-
-    Each matching route's grouping partitions the batch in one vectorized
-    step (``Grouping.partition``, row-for-row equivalent to the scalar
-    router), and the per-route counter advances by ``len(out)`` exactly
-    as the scalar loop would.  Every consumer's rows join that edge's
-    :class:`EdgeBuffer`, sealing ``batch_for(edge)`` rows per message
-    (read per append, so batch resizes apply).  Yields ``(consumer,
-    payload)`` for every sealed message, in order.
-    """
-    for route in rt.routes:
-        if route.stream != out.stream:
-            continue
-        key = (rt.task_id, route.counter_key)
-        parts = route.grouping.partition(
-            out, len(route.consumers), counters[key]
-        )
-        counters[key] += len(out)
-        for consumer, rows in zip(route.consumers, parts):
-            if len(rows):
-                edge = (rt.task_id, consumer)
-                for payload in buffers[edge].append_columns(
-                    out.select(rows), batch_for(edge)
-                ):
-                    yield consumer, payload
-
-
 def column_runs(payloads: Sequence) -> Iterator[ColumnBatch | list[StreamTuple]]:
-    """Group drained queue payloads into one kernel call per run.
+    """Group drained payloads (tuple lists or :class:`ColumnBatch`es)
+    into one kernel call per run.
 
     Consecutive :class:`ColumnBatch` payloads that pairwise
     :meth:`~ColumnBatch.joins` concatenate into one batch; consecutive
-    scalar payloads merge into one tuple list (for
-    :meth:`ColumnBatch.from_tuples`).  Order is preserved.
+    tuple lists merge into one list (for :meth:`ColumnBatch.from_tuples`).
+    Order is preserved.
     """
     run: list = []
     for payload in payloads:
@@ -742,16 +697,19 @@ def column_runs(payloads: Sequence) -> Iterator[ColumnBatch | list[StreamTuple]]
 def _merge_run(run: list) -> ColumnBatch | list[StreamTuple]:
     if isinstance(run[0], ColumnBatch):
         return ColumnBatch.concat(run)
-    return [item for payload in run for item in payload.tuples]
+    if len(run) == 1:
+        return run[0]
+    return [item for payload in run for item in payload]
 
 
 def burst(payloads: Sequence) -> list[StreamTuple]:
-    """Every drained payload's rows as tuples, in order."""
+    """Every payload's rows as tuples, in order."""
+    if len(payloads) == 1:
+        payload = payloads[0]
+        return payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
     items: list[StreamTuple] = []
     for payload in payloads:
         items.extend(
-            payload.to_tuples()
-            if isinstance(payload, ColumnBatch)
-            else payload.tuples
+            payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
         )
     return items

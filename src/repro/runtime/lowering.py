@@ -375,9 +375,9 @@ def apply_edge_batches(
 def instantiate_tasks(spec: RuntimeSpec) -> dict[int, Spout | Operator]:
     """Clone and prepare one operator instance per task of ``spec``.
 
-    Shared by the inline backend and the process-pool workers (each worker
-    instantiates only its own partition, but through this same path so
-    replica contexts are identical everywhere).
+    Each task goes through :func:`instantiate_task`, the path the task
+    core takes for its own tasks, so replica contexts are identical
+    everywhere.
     """
     return {
         rt.task_id: instantiate_task(spec, rt) for rt in spec.tasks

@@ -78,7 +78,7 @@ import traceback
 from collections import defaultdict, deque
 from dataclasses import fields, replace as dc_replace
 from time import monotonic, perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import multiprocessing as mp
 
@@ -97,7 +97,6 @@ from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.runtime.backends import (
     ExecutorBackend,
     publish_engine_metrics,
-    require_vectorized,
     validate_vectorized,
 )
 from repro.runtime.dataplane import (
@@ -107,20 +106,16 @@ from repro.runtime.dataplane import (
     ChannelEndpoint,
     ColumnBatch,
     PickleQueueChannel,
-    columns_available,
     create_dataplane,
-    schema_accepts,
 )
-from repro.runtime.dataplane.columns import EdgeBuffer, route_columns
 from repro.runtime.epochs import (
     EpochCheckpoint,
     EpochCommit,
     EpochConfig,
     EpochReport,
-    fast_forward,
 )
 from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
-from repro.runtime.faults import FaultInjector, merge_fault_summaries
+from repro.runtime.faults import Fault, FaultInjector, merge_fault_summaries
 from repro.runtime.overload import (
     CircuitBreaker,
     EdgeWindow,
@@ -130,13 +125,9 @@ from repro.runtime.overload import (
     Shedder,
     decorrelated_jitter,
 )
-from repro.runtime.lowering import (
-    RuntimeSpec,
-    TaskRuntime,
-    apply_edge_batches,
-    instantiate_task,
-)
+from repro.runtime.lowering import RuntimeSpec, TaskRuntime, apply_edge_batches
 from repro.runtime.results import RunResult, TaskStats
+from repro.runtime.taskcore import TaskCore
 
 if TYPE_CHECKING:
     from repro.runtime.backends import OnEpoch
@@ -166,20 +157,15 @@ CRASH_EXIT_CODE = 70
 #: Sentinel in the shared status array: worker still running.
 _STATUS_RUNNING = -1000
 
-#: Worker-side metric keys summed into ``runtime.vectorized.{batches,
-#: tuples,fallbacks}`` registry counters by the parent merge.
-_VECTORIZED_COUNTERS = (
-    "vectorized_batches",
-    "vectorized_tuples",
-    "vectorized_fallbacks",
-)
-
-#: Worker-side metric keys summed into ``runtime.fusion.{composed_batches,
-#: composed_tuples,fallbacks}`` registry counters by the parent merge.
-_FUSION_COUNTERS = (
-    "fusion_composed_batches",
-    "fusion_composed_tuples",
-    "fusion_fallbacks",
+#: Worker-side task-core counts (:meth:`TaskCore.counts`) the parent
+#: merge sums into ``runtime.<key>`` registry counters.
+_CORE_COUNTERS = (
+    "vectorized.batches",
+    "vectorized.tuples",
+    "vectorized.fallbacks",
+    "fusion.composed_batches",
+    "fusion.composed_tuples",
+    "fusion.fallbacks",
 )
 
 #: Worker-side error kinds mapped back to typed exceptions in the parent.
@@ -235,10 +221,9 @@ class ProcessPoolBackend(ExecutorBackend):
         Capacity of each per-worker-pair ring when ``dataplane="shm"``.
     vectorized:
         Columnar kernel mode: ``"auto"`` (default — use vectorized
-        ``process_columns`` kernels when numpy is available, falling
-        through per batch otherwise), ``"on"`` (fail if numpy is
-        missing) or ``"off"`` (scalar execution only).  See
-        docs/vectorized.md.
+        ``process_columns`` kernels, falling through per batch to the
+        scalar path), ``"on"`` (same as ``"auto"``) or ``"off"``
+        (scalar execution only).  See docs/vectorized.md.
     batching:
         Optional :class:`~repro.runtime.batching.AdaptiveBatchConfig`
         enabling the per-edge AIMD batch-size controller.  Adjustments
@@ -391,7 +376,6 @@ class ProcessPoolBackend(ExecutorBackend):
         """
         if max_events < 0:
             raise TopologyError("max_events must be >= 0")
-        require_vectorized(self.vectorized)
         registry = registry if registry is not None else NULL_REGISTRY
         if epochs is None and self.overload is not None:
             raise ExecutionError(
@@ -710,8 +694,7 @@ class ProcessPoolBackend(ExecutorBackend):
             for key in (
                 "pickled_bytes_out",
                 *dataplane_counters,
-                *_VECTORIZED_COUNTERS,
-                *_FUSION_COUNTERS,
+                *_CORE_COUNTERS,
             ):
                 totals[key] += metrics.get(key, 0.0)
         registry.counter("runtime.run.pickled_bytes").inc(
@@ -722,12 +705,8 @@ class ProcessPoolBackend(ExecutorBackend):
             # runtime.dataplane.dict.{columns,pages,bytes,...}.
             name = key.replace("dict_", "dict.")
             registry.counter(f"runtime.dataplane.{name}").inc(int(totals[key]))
-        for key in _VECTORIZED_COUNTERS:
-            name = key.removeprefix("vectorized_")
-            registry.counter(f"runtime.vectorized.{name}").inc(int(totals[key]))
-        for key in _FUSION_COUNTERS:
-            name = key.removeprefix("fusion_")
-            registry.counter(f"runtime.fusion.{name}").inc(int(totals[key]))
+        for key in _CORE_COUNTERS:
+            registry.counter(f"runtime.{key}").inc(int(totals[key]))
         # Total payload bytes the run moved between workers, whatever
         # the transport: pickled control-queue payloads plus the shm
         # plane's in-ring and out-of-band codec payloads.
@@ -1089,36 +1068,20 @@ class _Worker:
             if schedule
             else None
         )
-        self.instances = {
-            rt.task_id: instantiate_task(spec, rt) for rt in self.mine
-        }
-        self.stats = {
-            rt.task_id: TaskStats(task_id=rt.task_id, component=rt.component)
-            for rt in self.mine
-        }
-        self.buffers = {
-            (edge.producer, edge.consumer): EdgeBuffer(
-                edge.producer,
-                edge.consumer,
-                spec.batch_for((edge.producer, edge.consumer)),
-            )
-            for rt in self.mine
-            for edge in rt.out_edges
-        }
-        self.counters: dict[tuple[int, str], int] = defaultdict(int)
-        if resume is not None:
-            # A pool restarted from a committed checkpoint (Supervisor
-            # retry, placement-changing migration): restore this
-            # partition's operator state, routing counters and cumulative
-            # per-task statistics.
-            payload = resume.payload()
-            for task_id, state in payload["states"].items():
-                if task_id in self.instances and state is not None:
-                    self.instances[task_id].restore_state(state)
-            self.counters.update(payload["counters"])
-            for task_id, stats in payload["stats"].items():
-                if task_id in self.stats:
-                    self.stats[task_id] = stats
+        # Operator execution and routing for this partition; a pool
+        # restarted from a committed checkpoint (Supervisor retry,
+        # placement-changing migration) restores it from ``resume``.
+        self.core = TaskCore(
+            spec,
+            self.mine,
+            max_events,
+            vectorized=vectorized,
+            injector=self.injector,
+            registry=NULL_REGISTRY,
+            emit=self._send,
+            fault=self._fault_tick,
+            resume=resume,
+        )
         # Inbound bookkeeping: depth and backlog per in-edge of a local
         # task.  Arrival mode queues (edge, tuples) per consumer in
         # arrival order; ordered mode queues per edge.
@@ -1131,82 +1094,12 @@ class _Worker:
                 key = (edge.producer, edge.consumer)
                 self.edge_depth[key] = 0
                 self.edge_backlog[key] = deque()
-        self.max_events = max_events
         # A received batch refused hard admission, already decoded — kept
         # as (producer, consumer, payload) so a retry never re-decodes
         # (and the shm ring slot it came from is already released).  The
         # payload is a tuple list or, for columnar consumers, possibly a
         # ColumnBatch; both support len() everywhere admission cares.
         self.held: tuple[int, int, Any] | None = None
-        self.rt_by_id: dict[int, TaskRuntime] = {
-            rt.task_id: rt for rt in spec.tasks
-        }
-        # Fused chains (repro.runtime.fusion): the head runs every stage
-        # inline, so _assign colocated all constituents on this worker.
-        # Members are skipped by the scheduling loops — their intra-chain
-        # edges stay idle and their instances/stats/state are driven by
-        # the head's chain execution.
-        self.chains: dict[int, tuple[TaskRuntime, ...]] = {
-            chain[0]: tuple(self.rt_by_id[tid] for tid in chain)
-            for chain in spec.fusion
-        }
-        self.fused_members: frozenset[int] = spec.fused_member_ids
-        # Batch fast path: operators that override process_batch, used
-        # only when no injector is armed (fault ticks are per-tuple).
-        self.batch_ops: dict[int, Any] = (
-            {
-                task_id: instance.process_batch
-                for task_id, instance in self.instances.items()
-                if isinstance(instance, Operator)
-                and type(instance).process_batch is not Operator.process_batch
-            }
-            if self.injector is None
-            else {}
-        )
-        # Columnar fast path: tasks whose operator publishes a vectorized
-        # process_columns kernel.  column_capable drives fallback
-        # accounting; column_ops — actual kernel dispatch — additionally
-        # requires no armed injector, since fault ticks are per-tuple.
-        self.column_capable: set[int] = (
-            {
-                task_id
-                for task_id, instance in self.instances.items()
-                if isinstance(instance, Operator)
-                and instance.supports_columns()
-            }
-            if vectorized != "off" and columns_available()
-            else set()
-        )
-        self.column_ops: dict[int, Any] = (
-            {
-                task_id: self.instances[task_id].process_columns
-                for task_id in self.column_capable
-            }
-            if self.injector is None
-            else {}
-        )
-        # Input-schema negotiation per kernel (None = accepts any schema).
-        self.column_schemas: dict[int, frozenset | None] = {
-            task_id: (
-                None
-                if self.instances[task_id].column_schemas is None
-                else frozenset(self.instances[task_id].column_schemas)
-            )
-            for task_id in self.column_ops
-        }
-        self.spout_iters: dict[int, Iterator] = {
-            rt.task_id: self.instances[rt.task_id].next_batch(max_events)
-            for rt in self.mine
-            if rt.is_spout
-        }
-        self.spout_produced: dict[int, int] = {t: 0 for t in self.spout_iters}
-        self.exhausted_spouts: set[int] = set()
-        if resume is not None:
-            for task_id, iterator in self.spout_iters.items():
-                start = resume.spout_produced.get(task_id, 0)
-                self.spout_produced[task_id] = start
-                if fast_forward(iterator, start):
-                    self.exhausted_spouts.add(task_id)
         # Worker-lifetime counters; each outcome reports their growth
         # since the previous slice (see run()).
         self.metrics: dict[str, Any] = defaultdict(float)
@@ -1239,18 +1132,21 @@ class _Worker:
         if shed is not None:
             self.shedder = Shedder(shed["mode"], shed["rate"], shed["seed"])
             self.shedder.active = shed["active"]
+        self.core.shedder = (
+            self.shedder if self.shedder is not None and self.shedder.active else None
+        )
         if batches != self.spec.edge_batch_size:
             # The AIMD controller resized edges at the barrier, where
             # every output buffer is empty.
             self.spec = dc_replace(self.spec, edge_batch_size=batches)
-            for key, buffer in self.buffers.items():
+            for key, buffer in self.core.buffers.items():
                 buffer.batch_size = self.spec.batch_for(key)
         self.eof: set[tuple[int, int]] = set()
         self.completed: set[int] = set()
         self.events = 0
         # Per-spout production at slice start: events this worker reports
         # are the slice delta (the parent accumulates across slices).
-        self.spout_start: dict[int, int] = dict(self.spout_produced)
+        self.spout_start: dict[int, int] = dict(self.core.spout_produced)
         # Per-slice queue-stat windows: the overload and AIMD controllers
         # read them as-is, and the parent folds them into run totals.
         self.edge_stats: dict[tuple[int, int], QueueStats] = {
@@ -1290,10 +1186,8 @@ class _Worker:
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
-    def _fault_tick(self, task_id: int) -> None:
-        fault = self.injector.tick(task_id)
-        if fault is None:
-            return
+    def _fault_tick(self, rt: TaskRuntime, fault: Fault) -> None:
+        """The core's fault hook: act on a fault fired at ``rt``."""
         if fault.kind == "crash":
             # A real worker loss: die hard, without flushing buffers or
             # posting a result.  The parent watchdog attributes it.
@@ -1337,7 +1231,11 @@ class _Worker:
                 idle_since = None
         self.metrics["wall_ns"] += max(perf_counter() - started, 1e-9) * 1e9
         self.metrics["idle_ns"] += idle_s * 1e9
-        totals = {**self.metrics, **self.channel.snapshot_metrics()}
+        totals = {
+            **self.metrics,
+            **self.channel.snapshot_metrics(),
+            **self.core.counts(),
+        }
         if self.breakers:
             totals["send_breaker_opens"] = float(
                 sum(b.opens for b in self.breakers.values())
@@ -1360,24 +1258,25 @@ class _Worker:
         # Barrier payload: this worker's share of the epoch snapshot.  The
         # parent unions the shares and seals them as the EpochCheckpoint
         # once every worker has reported (a final slice commits nothing).
+        core = self.core
         metrics["epoch"] = {
-            "spout_produced": dict(self.spout_produced),
-            "exhausted": sorted(self.exhausted_spouts),
+            "spout_produced": dict(core.spout_produced),
+            "exhausted": sorted(core.exhausted),
         }
         if not self.slice_final:
             metrics["epoch"]["states"] = {
                 task_id: instance.snapshot_state()
-                for task_id, instance in self.instances.items()
+                for task_id, instance in core.instances.items()
                 if isinstance(instance, Operator)
             }
-            metrics["epoch"]["counters"] = dict(self.counters)
+            metrics["epoch"]["counters"] = dict(core.counters)
         sinks = {
-            rt.task_id: self.instances[rt.task_id]
-            for rt in self.mine
-            if isinstance(self.instances[rt.task_id], Sink)
+            task_id: instance
+            for task_id, instance in core.instances.items()
+            if isinstance(instance, Sink)
         }
         self._beat()
-        return ("ok", self.me, self.events, self.stats, sinks, self.edge_stats, metrics)
+        return ("ok", self.me, self.events, core.stats, sinks, self.edge_stats, metrics)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -1439,7 +1338,7 @@ class _Worker:
                 # already-decoded payload instead of decoding twice.
                 # Consumers with a columnar kernel get the payload as a
                 # ColumnBatch where the wire format allows.
-                if self.channel.peek_consumer(message) in self.column_ops:
+                if self.channel.peek_consumer(message) in self.core.kernels:
                     producer, consumer, payload = self.channel.unpack_columns(
                         message
                     )
@@ -1586,53 +1485,6 @@ class _Worker:
         else:
             self._blocking_put(self.owner[consumer], ("eof", producer, consumer))
 
-    # ------------------------------------------------------------------
-    # Routing (same counter/grouping discipline as the inline backend)
-    # ------------------------------------------------------------------
-    def _route(
-        self,
-        rt: TaskRuntime,
-        item: StreamTuple,
-        shed_offset: int | None = None,
-    ) -> None:
-        for route in rt.routes:
-            if route.stream == item.stream:
-                self._route_one(rt, route, item, shed_offset)
-
-    def _route_one(
-        self,
-        rt: TaskRuntime,
-        route: Any,
-        item: StreamTuple,
-        shed_offset: int | None = None,
-    ) -> None:
-        key = (rt.task_id, route.counter_key)
-        indices = route.grouping.route(
-            item, len(route.consumers), self.counters[key]
-        )
-        # Counters advance whether or not the tuple is shed, so the
-        # surviving tuples route exactly as they would without shedding.
-        self.counters[key] += 1
-        for index in indices:
-            consumer = route.consumers[index]
-            if shed_offset is not None and self.shedder.should_shed(
-                (rt.task_id, consumer),
-                shed_offset,
-                item,
-                getattr(self.instances[rt.task_id], "sheddable", None),
-            ):
-                continue
-            for sealed in self.buffers[(rt.task_id, consumer)].append(item):
-                self._send(rt.task_id, consumer, sealed)
-
-    def _route_columns(self, rt: TaskRuntime, out: "ColumnBatch") -> None:
-        """Route one columnar output batch to its edge buffers
-        (:func:`~repro.runtime.dataplane.columns.route_columns`)."""
-        for consumer, sealed in route_columns(
-            rt, out, self.counters, self.buffers, self.spec.batch_for
-        ):
-            self._send(rt.task_id, consumer, sealed)
-
     def _send(
         self, producer: int, consumer: int, sealed: "JumboTuple | ColumnBatch"
     ) -> None:
@@ -1642,22 +1494,23 @@ class _Worker:
         else:
             self._dispatch_columns(producer, consumer, sealed)
 
-    def _flush_task(self, rt: TaskRuntime) -> None:
-        for edge in rt.out_edges:
-            for sealed in self.buffers[(edge.producer, edge.consumer)].flush():
-                self._send(edge.producer, edge.consumer, sealed)
-        for edge in rt.out_edges:
-            self._send_eof(edge.producer, edge.consumer)
-        self.completed.add(rt.task_id)
+    def _finish(self, task_id: int) -> None:
+        """Flush a scheduled task for the slice (windowed ``flush()`` only
+        on the final one), then close its stages' out-edges with EOF."""
+        for rt in self.core.flush(task_id, self.slice_final):
+            for edge in rt.out_edges:
+                self._send_eof(edge.producer, edge.consumer)
+            self.completed.add(rt.task_id)
 
     # ------------------------------------------------------------------
     # Spouts
     # ------------------------------------------------------------------
     def _step_spouts(self) -> int:
         progress = 0
-        shedding = self.shedder is not None and self.shedder.active
-        for rt in self.mine:
-            if not rt.is_spout or rt.task_id in self.completed:
+        core = self.core
+        for task_id, stages in core.stages.items():
+            rt = stages[0]
+            if not rt.is_spout or task_id in self.completed:
                 continue
             if any(
                 self._channel_full(edge.producer, edge.consumer)
@@ -1667,43 +1520,22 @@ class _Worker:
                 # downstream drains.
                 self.metrics["spout_throttles"] += 1
                 continue
-            iterator = self.spout_iters[rt.task_id]
-            stats = self.stats[rt.task_id]
-            produced = self.spout_produced[rt.task_id]
-            exhausted = rt.task_id in self.exhausted_spouts
-            chunk = max(0, min(_SPOUT_CHUNK, self.slice_limit - produced))
-            for _ in range(chunk):
-                values = next(iterator, None)
-                if values is None:
-                    exhausted = True
+            produced = core.spout_produced[task_id]
+            for _ in range(max(0, min(_SPOUT_CHUNK, self.slice_limit - produced))):
+                if not core.spout(rt):
                     break
-                if self.injector is not None:
-                    self._fault_tick(rt.task_id)
-                item = StreamTuple(
-                    values=values,
-                    source_task=rt.task_id,
-                    event_time_ns=float(produced),
-                )
-                stats.record_out(item.stream, item.payload_size_bytes)
-                if shedding:
-                    self._route(rt, item, shed_offset=produced)
-                else:
-                    self._route(rt, item)
-                produced += 1
                 progress += 1
-            self.spout_produced[rt.task_id] = produced
-            if exhausted:
-                self.exhausted_spouts.add(rt.task_id)
-            if exhausted or produced >= self.slice_limit:
+            produced = core.spout_produced[task_id]
+            if task_id in core.exhausted or produced >= self.slice_limit:
                 # Source dried up, or the slice boundary (epoch barrier)
                 # was reached: close this spout's outputs for the slice.
-                self.events += produced - self.spout_start.get(rt.task_id, 0)
-                self._flush_task(rt)
+                self.events += produced - self.spout_start.get(task_id, 0)
+                self._finish(task_id)
                 progress += 1
         return progress
 
     # ------------------------------------------------------------------
-    # Operators
+    # Operators and fused chains (executed by the task core)
     # ------------------------------------------------------------------
     def _next_batch(self, rt: TaskRuntime) -> tuple[tuple[int, int], list[StreamTuple]] | None:
         if self.ordered:
@@ -1724,270 +1556,37 @@ class _Worker:
 
     def _process_one(self, consumer: int) -> bool:
         """Process one backlog batch of task ``consumer``; False when none."""
-        rt = self.rt_by_id[consumer]
-        entry = self._next_batch(rt)
+        entry = self._next_batch(self.core.stages[consumer][0])
         if entry is None:
             return False
         key, payload = entry
         self.edge_depth[key] -= len(payload)
         self.edge_stats[key].dequeued_tuples += len(payload)
-        chain = self.chains.get(consumer)
-        if chain is not None:
-            self._process_chain(chain, payload)
-            return True
-        stats = self.stats[consumer]
-        kernel = self.column_ops.get(consumer)
-        if kernel is not None:
-            batch = (
-                payload
-                if isinstance(payload, ColumnBatch)
-                else ColumnBatch.from_tuples(payload)
-            )
-            schemas = self.column_schemas[consumer]
-            if batch is not None and not schema_accepts(schemas, batch.schema):
-                batch = None  # schema the kernel did not negotiate
-            if batch is not None:
-                self._process_columns(rt, consumer, stats, kernel, batch)
-                return True
-            # Column-capable consumer, but this batch's schema does not
-            # qualify — fall through to the scalar paths below.
-            self.metrics["vectorized_fallbacks"] += 1
-        elif consumer in self.column_capable:
-            # Kernel disabled for the whole run (fault injection armed).
-            self.metrics["vectorized_fallbacks"] += 1
-        tuples = (
-            payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
-        )
-        batch_fn = self.batch_ops.get(consumer)
-        if batch_fn is not None:
-            # Batch fast path: one Python call per sealed batch.  The
-            # override contract (emission-order equivalence) makes this
-            # indistinguishable from the per-tuple loop below.
-            stats.tuples_in += len(tuples)
-            for index, stream, values in batch_fn(tuples):
-                item = tuples[index]
-                out = item.derive(values, stream=stream, source_task=consumer)
-                stats.record_out(stream, out.payload_size_bytes)
-                self._route(rt, out)
-            return True
-        operator = self.instances[consumer]
-        assert isinstance(operator, Operator)
-        for item in tuples:
-            stats.tuples_in += 1
-            if self.injector is not None:
-                self._fault_tick(consumer)
-            for stream, values in operator.process(item):
-                out = item.derive(values, stream=stream, source_task=consumer)
-                stats.record_out(stream, out.payload_size_bytes)
-                self._route(rt, out)
+        self.core.process(consumer, [payload])
         return True
-
-    def _process_columns(
-        self,
-        rt: TaskRuntime,
-        consumer: int,
-        stats: Any,
-        kernel: Any,
-        batch: "ColumnBatch",
-    ) -> None:
-        """Run one columnar kernel invocation and route its outputs."""
-        n = len(batch)
-        stats.tuples_in += n
-        self.metrics["vectorized_batches"] += 1
-        self.metrics["vectorized_tuples"] += n
-        for out in kernel(batch) or ():
-            if len(out) == 0:
-                continue
-            out.stamp_from(batch, consumer)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            self._route_columns(rt, out)
-
-    # ------------------------------------------------------------------
-    # Fused chains (same discipline as the inline backend): the head
-    # executes every stage in place, per-stage stats and fault ticks
-    # match the unfused run, intermediates never touch a queue, and the
-    # tail routes through its real out-edges.  Mid-chain emissions whose
-    # stream is not the intra-chain edge's stream are dropped exactly as
-    # the unfused _route would drop them (no matching route).
-    # ------------------------------------------------------------------
-    def _process_chain(
-        self, chain: tuple[TaskRuntime, ...], payload: Any
-    ) -> None:
-        head_id = chain[0].task_id
-        kernel = self.column_ops.get(head_id)
-        if kernel is not None:
-            batch = (
-                payload
-                if isinstance(payload, ColumnBatch)
-                else ColumnBatch.from_tuples(payload)
-            )
-            schemas = self.column_schemas[head_id]
-            if batch is not None and not schema_accepts(schemas, batch.schema):
-                batch = None
-            if batch is not None:
-                self._chain_columns(chain, 0, batch)
-                return
-            self.metrics["vectorized_fallbacks"] += 1
-        elif head_id in self.column_capable:
-            self.metrics["vectorized_fallbacks"] += 1
-        tuples = (
-            payload.to_tuples() if isinstance(payload, ColumnBatch) else payload
-        )
-        for item in tuples:
-            self._chain_item(chain, 0, item)
-
-    def _chain_item(
-        self, chain: tuple[TaskRuntime, ...], position: int, item: StreamTuple
-    ) -> None:
-        """Run ``item`` through the chain from ``position`` (scalar)."""
-        rt = chain[position]
-        stats = self.stats[rt.task_id]
-        stats.tuples_in += 1
-        if self.injector is not None:
-            self._fault_tick(rt.task_id)
-        operator = self.instances[rt.task_id]
-        assert isinstance(operator, Operator)
-        last = position == len(chain) - 1
-        chain_stream = None if last else rt.out_edges[0].stream
-        for stream, values in operator.process(item):
-            out = item.derive(values, stream=stream, source_task=rt.task_id)
-            stats.record_out(stream, out.payload_size_bytes)
-            if last:
-                self._route(rt, out)
-            elif stream == chain_stream:
-                self._chain_item(chain, position + 1, out)
-
-    def _chain_columns(
-        self,
-        chain: tuple[TaskRuntime, ...],
-        position: int,
-        batch: "ColumnBatch",
-    ) -> None:
-        """Run ``batch`` through the chain from ``position`` (columnar).
-
-        Composed stages hand the output batch to the next kernel without
-        materializing tuples; a stage whose successor has no kernel (or
-        did not negotiate the batch's schema) bursts to tuples and
-        continues scalar from there — counted in ``fusion_fallbacks``.
-        """
-        rt = chain[position]
-        stats = self.stats[rt.task_id]
-        n = len(batch)
-        stats.tuples_in += n
-        self.metrics["vectorized_batches"] += 1
-        self.metrics["vectorized_tuples"] += n
-        if position:
-            self.metrics["fusion_composed_batches"] += 1
-            self.metrics["fusion_composed_tuples"] += n
-        kernel = self.column_ops[rt.task_id]
-        last = position == len(chain) - 1
-        chain_stream = None if last else rt.out_edges[0].stream
-        for out in kernel(batch) or ():
-            if len(out) == 0:
-                continue
-            out.stamp_from(batch, rt.task_id)
-            stats.record_out_many(out.stream, len(out), out.payload_bytes())
-            if last:
-                self._route_columns(rt, out)
-                continue
-            if out.stream != chain_stream:
-                continue  # no matching route in the unfused run either
-            next_id = chain[position + 1].task_id
-            next_kernel = self.column_ops.get(next_id)
-            schemas = (
-                self.column_schemas[next_id]
-                if next_kernel is not None
-                else None
-            )
-            if next_kernel is not None and schema_accepts(schemas, out.schema):
-                self._chain_columns(chain, position + 1, out)
-            else:
-                if next_id in self.column_capable:
-                    self.metrics["vectorized_fallbacks"] += 1
-                self.metrics["fusion_fallbacks"] += 1
-                for item in out.to_tuples():
-                    self._chain_item(chain, position + 1, item)
-
-    def _complete_chain(self, chain: tuple[TaskRuntime, ...]) -> None:
-        """Finish a fused chain whose head's inputs reached EOF.
-
-        Each stage's ``flush()`` feeds the remainder of the chain before
-        the next stage flushes — the same order EOF propagation produces
-        in the unfused run — then every constituent flushes its output
-        buffers and sends EOF downstream, head first.
-        """
-        if self.slice_final:
-            for position, rt in enumerate(chain):
-                operator = self.instances[rt.task_id]
-                assert isinstance(operator, Operator)
-                stats = self.stats[rt.task_id]
-                last = position == len(chain) - 1
-                chain_stream = None if last else rt.out_edges[0].stream
-                for stream, values in operator.flush():
-                    out = StreamTuple(
-                        values=tuple(values),
-                        stream=stream,
-                        source_task=rt.task_id,
-                    )
-                    stats.record_out(stream, out.payload_size_bytes)
-                    if last:
-                        self._route(rt, out)
-                    elif stream == chain_stream:
-                        self._chain_item(chain, position + 1, out)
-        for rt in chain:
-            self._flush_task(rt)
 
     def _step_process(self, quantum: int) -> int:
         progress = 0
-        for rt in self.mine:
-            if (
-                rt.is_spout
-                or rt.task_id in self.completed
-                or rt.task_id in self.fused_members
-            ):
+        for task_id, stages in self.core.stages.items():
+            if stages[0].is_spout or task_id in self.completed:
                 continue
             for _ in range(quantum):
-                if not self._process_one(rt.task_id):
+                if not self._process_one(task_id):
                     break
                 progress += 1
         return progress
 
     def _complete_ready(self) -> int:
         progress = 0
-        for rt in self.mine:
-            if (
-                rt.is_spout
-                or rt.task_id in self.completed
-                or rt.task_id in self.fused_members
+        for task_id, stages in self.core.stages.items():
+            if stages[0].is_spout or task_id in self.completed:
+                continue
+            if any(
+                (edge.producer, edge.consumer) not in self.eof
+                or self.edge_depth[(edge.producer, edge.consumer)] > 0
+                for edge in stages[0].in_edges
             ):
                 continue
-            live = False
-            for edge in rt.in_edges:
-                key = (edge.producer, edge.consumer)
-                if key not in self.eof or self.edge_depth[key] > 0:
-                    live = True
-                    break
-            if live:
-                continue
-            chain = self.chains.get(rt.task_id)
-            if chain is not None:
-                self._complete_chain(chain)
-                progress += 1
-                continue
-            operator = self.instances[rt.task_id]
-            assert isinstance(operator, Operator)
-            stats = self.stats[rt.task_id]
-            if self.slice_final:
-                # flush() ends the *stream*, not an epoch slice: windowed
-                # leftovers are only emitted when the run truly closes.
-                for stream, values in operator.flush():
-                    out = StreamTuple(
-                        values=tuple(values),
-                        stream=stream,
-                        source_task=rt.task_id,
-                    )
-                    stats.record_out(stream, out.payload_size_bytes)
-                    self._route(rt, out)
-            self._flush_task(rt)
+            self._finish(task_id)
             progress += 1
         return progress

@@ -16,7 +16,6 @@ from repro.runtime.dataplane import (
     BatchCodec,
     ColumnBatch,
     DictColumn,
-    columns_available,
     schema_accepts,
 )
 from repro.runtime.dataplane.columns import (
@@ -24,10 +23,6 @@ from repro.runtime.dataplane.columns import (
     _FIXED_PAYLOAD_BYTES,
     schema_dtypes,
     take,
-)
-
-pytestmark = pytest.mark.skipif(
-    not columns_available(), reason="numpy unavailable"
 )
 
 EDGE = (0, 1)

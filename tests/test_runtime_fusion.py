@@ -29,7 +29,6 @@ from repro.runtime import (
     apply_edge_batches,
     as_fusion_config,
     chain_map,
-    columns_available,
     lower_graph,
     plan_fusion,
     refit_fusion,
@@ -48,10 +47,6 @@ EXPECTED_CHAINS = {
     "fd": ((1, 2),),
     "lr": ((1, 2), (3, 8)),
 }
-
-needs_numpy = pytest.mark.skipif(
-    not columns_available(), reason="numpy not importable"
-)
 
 
 def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs):
@@ -382,7 +377,7 @@ class TestFusionParity:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize(
         "vectorized",
-        ["off", pytest.param("on", marks=needs_numpy)],
+        ["off", "on"],
     )
     def test_fused_matches_unfused_baseline(
         self, baselines, app, backend, vectorized

@@ -1,28 +1,29 @@
-"""White-box tests for the inline backend's columnar routing.
+"""White-box tests for columnar routing and the inline backend's intake.
 
-They drive one ``_InlineRun`` directly, over unbounded queues, so a task
-loop never suspends and every queued message can be inspected whole:
+The coalescing tests drive one :class:`~repro.runtime.taskcore.TaskCore`
+directly — the routing both backends run — with an ``emit`` spy that
+records every sealed message per edge:
 
-* ``_route_columns``: kernel output partitioned over a fan-out route is
-  coalesced per edge into queue messages of exactly the edge's batch
-  size (the last of a phase excepted), also after the edges are resized,
-  and every row reaches the consumer, in the order, that per-tuple
-  routing picks, with the same routing counters;
+* ``route_columns``: kernel output partitioned over a fan-out route is
+  coalesced per edge into messages of exactly the edge's batch size (the
+  last of a phase excepted), also after the edges are resized, and every
+  row reaches the consumer, in the order, that per-tuple routing picks,
+  with the same routing counters;
 * per-edge FIFO holds between scalar tuples and columnar rows;
 * dictionary columns over different decode tables never concatenate,
-  neither in the edge buffer nor in a consumer's kernel runs;
+  neither in the edge buffer nor in a consumer's kernel runs.
+
+The inline backend's own tests drive one ``_InlineRun`` over unbounded
+queues, so a task loop never suspends:
+
 * a kernel consumer runs its kernel once per run of joinable payloads
   and never takes the scalar path;
 * a sink that keeps the default ``process`` takes columnar intake.
-
-The process worker's twins of the first three live in
-``tests/test_runtime_process_pool.py``.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
-import pytest
 
 from repro.apps import load_application
 from repro.dsps import LocalEngine
@@ -31,17 +32,9 @@ from repro.dsps.topology import TopologyBuilder
 from repro.dsps.tuples import DEFAULT_STREAM, JumboTuple, StreamTuple
 from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime.backends import _InlineRun
-from repro.runtime.dataplane.columns import (
-    ColumnBatch,
-    DictColumn,
-    column_runs,
-    columns_available,
-)
+from repro.runtime.dataplane.columns import ColumnBatch, DictColumn, column_runs
 from repro.runtime.lowering import apply_edge_batches
-
-pytestmark = pytest.mark.skipif(
-    not columns_available(), reason="numpy unavailable"
-)
+from repro.runtime.taskcore import TaskCore
 
 FANOUT = {"spout": 1, "parser": 1, "splitter": 1, "counter": 14, "sink": 1}
 
@@ -54,6 +47,27 @@ def make_run(topology=None, replication=None):
     return _InlineRun(spec, 100, NULL_REGISTRY), spec
 
 
+def make_core(replication=None):
+    """A task core over every task of the lowered WC spec, and the
+    messages it emits, per edge, in order."""
+    topology, _ = load_application("wc")
+    spec = LocalEngine(topology, replication=replication).spec
+    sent = defaultdict(list)
+    core = TaskCore(
+        spec,
+        spec.tasks,
+        100,
+        vectorized="auto",
+        injector=None,
+        registry=NULL_REGISTRY,
+        emit=lambda producer, consumer, sealed: sent[(producer, consumer)].append(
+            sealed
+        ),
+        fault=None,
+    )
+    return core, spec, sent
+
+
 def task_of(spec, component):
     return next(rt for rt in spec.tasks if rt.component == component)
 
@@ -62,12 +76,6 @@ def drive(loop):
     """Run a task-loop generator to the end; it must never suspend."""
     for _ in loop:
         raise AssertionError("task loop suspended on unbounded queues")
-
-
-def queued(run):
-    """Every queued message, drained, per edge with any."""
-    drained = {edge: queue.drain() for edge, queue in run.queues.items()}
-    return {edge: messages for edge, messages in drained.items() if messages}
 
 
 def rows(message):
@@ -85,16 +93,16 @@ def word_batch(words, producer):
 
 
 class TestColumnarCoalescing:
-    def _route_words(self, run, splitter, batches, n_rows):
+    def _route_words(self, core, splitter, batches, n_rows):
         for b in range(batches):
             words = [f"w{(b * 7 + i) % 97}" for i in range(n_rows)]
-            drive(run._route_columns(splitter, word_batch(words, splitter.task_id)))
-        drive(run._flush_buffers(splitter))  # phase end
+            core.route_columns(splitter, word_batch(words, splitter.task_id))
+        core.flush(splitter.task_id, final=False)  # phase end
 
-    def _assert_full_batches(self, run, sent, routed_rows):
+    def _assert_full_batches(self, spec, sent, routed_rows):
         total = 0
         for edge, messages in sent.items():
-            size = run.spec.batch_for(edge)
+            size = spec.batch_for(edge)
             lengths = [len(message) for message in messages]
             assert all(isinstance(m, ColumnBatch) for m in messages)
             assert all(n == size for n in lengths[:-1]), (edge, size, lengths)
@@ -103,86 +111,82 @@ class TestColumnarCoalescing:
         assert total == routed_rows
 
     def test_fields_edge_seals_exact_jumbo_batches(self):
-        run, spec = make_run(replication=FANOUT)
+        core, spec, sent = make_core(replication=FANOUT)
         splitter = task_of(spec, "splitter")
         (route,) = splitter.routes
         assert len(route.consumers) == 14
-        self._route_words(run, splitter, batches=40, n_rows=64)
-        sent = queued(run)
+        self._route_words(core, splitter, batches=40, n_rows=64)
         assert len(sent) == 14
-        self._assert_full_batches(run, sent, 40 * 64)
+        self._assert_full_batches(spec, sent, 40 * 64)
         # A 14-way partition of a 64-row batch averages < 5 rows per
         # consumer; coalescing is what keeps messages full.
         assert sum(map(len, sent.values())) < 40 * 14 / 4
 
     def test_resized_edges_seal_at_their_new_size(self):
-        run, spec = make_run(replication=FANOUT)
+        core, spec, sent = make_core(replication=FANOUT)
         splitter = task_of(spec, "splitter")
         sizes = {
             (splitter.task_id, consumer): 5 + index
             for index, consumer in enumerate(splitter.routes[0].consumers)
         }
         # What a barrier's AIMD step does to a live run.
-        run.spec = apply_edge_batches(spec, sizes)
+        spec = apply_edge_batches(spec, sizes)
         for edge, size in sizes.items():
-            run.buffers[edge].batch_size = size
-        self._route_words(run, splitter, batches=20, n_rows=64)
-        sent = queued(run)
-        assert {run.spec.batch_for(edge) for edge in sent} == set(range(5, 19))
-        self._assert_full_batches(run, sent, 20 * 64)
+            core.buffers[edge].batch_size = size
+        self._route_words(core, splitter, batches=20, n_rows=64)
+        assert {spec.batch_for(edge) for edge in sent} == set(range(5, 19))
+        self._assert_full_batches(spec, sent, 20 * 64)
 
     def test_columns_reach_the_consumers_per_tuple_routing_picks(self):
         # Shuffle (3 splitters) and 14-way fields routes, odd batch
         # sizes: counters must advance by each batch's row count.
         replication = {**FANOUT, "splitter": 3}
-        columnar, _ = make_run(replication=replication)
-        scalar, spec = make_run(replication=replication)
+        columnar, _, columnar_sent = make_core(replication=replication)
+        scalar, spec, scalar_sent = make_core(replication=replication)
         for component in ("parser", "splitter"):
             rt = task_of(spec, component)
             for b, n in enumerate((5, 1, 7, 3, 9)):
                 words = [f"w{(b * n + i) % 11}" for i in range(n)]
                 batch = word_batch(words, rt.task_id)
-                drive(columnar._route_columns(rt, batch))
+                columnar.route_columns(rt, batch)
                 for item in batch.to_tuples():
-                    drive(scalar._route(rt, item))
-            drive(columnar._flush_buffers(rt))
-            drive(scalar._flush_buffers(rt))
+                    scalar.route(rt, item)
+            columnar.flush(rt.task_id, final=False)
+            scalar.flush(rt.task_id, final=False)
         expected = {
             edge: [values for m in messages for values in rows(m)]
-            for edge, messages in queued(scalar).items()
+            for edge, messages in scalar_sent.items()
         }
         assert len(expected) > 3 + 5  # every splitter, most counters
         assert {
             edge: [values for m in messages for values in rows(m)]
-            for edge, messages in queued(columnar).items()
+            for edge, messages in columnar_sent.items()
         } == expected
         assert columnar.counters == scalar.counters
 
     def test_scalar_tuples_between_columnar_batches_keep_edge_fifo(self):
-        run, spec = make_run(replication=FANOUT)
+        core, spec, sent = make_core(replication=FANOUT)
         splitter = task_of(spec, "splitter")
         order = []
 
         def columnar(tag, n):
             words = [f"{tag}{i}" for i in range(n)]
             order.extend(words)
-            drive(run._route_columns(splitter, word_batch(words, splitter.task_id)))
+            core.route_columns(splitter, word_batch(words, splitter.task_id))
 
         columnar("a", 50)
         for i in range(30):  # a scalar fallback batch, routed per tuple
             order.append(f"s{i}")
-            drive(
-                run._route(
-                    splitter,
-                    StreamTuple(values=(f"s{i}",), source_task=splitter.task_id),
-                )
+            core.route(
+                splitter,
+                StreamTuple(values=(f"s{i}",), source_task=splitter.task_id),
             )
         columnar("b", 50)
-        drive(run._flush_buffers(splitter))
+        core.flush(splitter.task_id, final=False)
         position = {word: i for i, word in enumerate(order)}
         seen = 0
         kinds = set()
-        for edge, messages in queued(run).items():
+        for edge, messages in sent.items():
             words = [values[0] for m in messages for values in rows(m)]
             ranks = [position[w] for w in words]
             assert ranks == sorted(ranks), edge
@@ -192,7 +196,7 @@ class TestColumnarCoalescing:
         assert kinds == {ColumnBatch, JumboTuple}
 
     def test_dict_columns_over_different_tables_never_concatenate(self):
-        run, spec = make_run()
+        core, spec, sent = make_core()
         splitter = task_of(spec, "splitter")
         mirror, local = ["x", "y"], ["y", "x"]
         for table in (mirror, local, local):
@@ -201,9 +205,9 @@ class TestColumnarCoalescing:
             )
             batch.source_task = splitter.task_id
             batch.event_times = np.zeros(3)
-            drive(run._route_columns(splitter, batch))
-        drive(run._flush_buffers(splitter))
-        ((edge, messages),) = queued(run).items()
+            core.route_columns(splitter, batch)
+        core.flush(splitter.task_id, final=False)
+        ((edge, messages),) = sent.items()
         assert edge[0] == splitter.task_id
         assert [rows(m) for m in messages] == [
             [("x",), ("y",), ("y",)],
@@ -285,7 +289,7 @@ def test_kernel_runs_once_per_joinable_run_and_never_goes_scalar():
     ]
     for payload in payloads:
         queue.put(payload)
-    operator = run.instances[op.task_id]
+    operator = run.core.instances[op.task_id]
     kernel_rows, scalar_calls = [], []
     kernel, process = operator.process_columns, operator.process
 
@@ -300,10 +304,10 @@ def test_kernel_runs_once_per_joinable_run_and_never_goes_scalar():
     operator.process_columns = spy_kernel
     operator.process = spy_process
     run.done.add(source)
-    drive(run._operator_loop(op, final=True))
+    drive(run._task_loop(run.core.stages[op.task_id], 0, final=True))
     assert kernel_rows == [("q", 5), ("q", 6), ("qq", 3), ("q", 1), ("qq", 4)]
     assert scalar_calls == []
-    assert run.vec == {"batches": 5, "tuples": 19, "fallbacks": 0}
+    assert run.core.vec == {"batches": 5, "tuples": 19, "fallbacks": 0}
     # Output stays columnar, in order, one sink message per run.
     messages = run.queues[(op.task_id, sink.task_id)].drain()
     assert all(isinstance(m, ColumnBatch) for m in messages)

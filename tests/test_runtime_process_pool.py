@@ -13,10 +13,13 @@ end-to-end suites can only observe indirectly:
   a dead peer raises WorkerCrashError, a live-but-stuck one raises
   QueueDeadlockError after ``send_timeout_s`` (this path used to spin
   forever);
-* ``_route_columns``: kernel output partitioned over a fan-out route is
+* columnar routing through the worker's task core: kernel output
+  partitioned over a fan-out route reaches ``_dispatch_columns``
   coalesced per edge into jumbo batches of exactly the edge's batch size
-  (the last of a slice excepted), in per-edge FIFO order with scalar
-  tuples, never mixing dictionary columns over different decode tables.
+  (the last of a slice excepted), also after ``begin_slice`` resizes the
+  edges, in per-edge FIFO order with scalar tuples, never mixing
+  dictionary columns over different decode tables.  The core itself is
+  tested against an ``emit`` spy in ``tests/test_runtime_inline_columns.py``.
 """
 
 import queue
@@ -284,7 +287,7 @@ def word_batch(words, producer):
 
 def record_sends(worker):
     """Capture every dispatched message, in order, per edge: a list of
-    ("columns" | "tuples", rows) with rows as value tuples."""
+    ("columns" | "tuples", rows, batch) with rows as value tuples."""
     sent = defaultdict(list)
 
     def columns(producer, consumer, batch):
@@ -305,14 +308,14 @@ def record_sends(worker):
 class TestColumnarCoalescing:
     def _route_words(self, worker, splitter, batches, rows):
         for b in range(batches):
-            worker._route_columns(
+            worker.core.route_columns(
                 splitter,
                 word_batch(
                     [f"w{(b * 7 + i) % 97}" for i in range(rows)],
                     splitter.task_id,
                 ),
             )
-        worker._flush_task(splitter)  # slice end
+        worker.core.flush(splitter.task_id, final=False)  # slice end
 
     def _assert_full_batches(self, worker, sent, routed_rows):
         total = 0
@@ -360,19 +363,19 @@ class TestColumnarCoalescing:
         def columnar(tag, n):
             words = [f"{tag}{i}" for i in range(n)]
             order.extend(words)
-            worker._route_columns(
+            worker.core.route_columns(
                 splitter, word_batch(words, splitter.task_id)
             )
 
         columnar("a", 50)
         for i in range(30):  # a scalar fallback batch, routed per tuple
             order.append(f"s{i}")
-            worker._route(
+            worker.core.route(
                 splitter,
                 StreamTuple(values=(f"s{i}",), source_task=splitter.task_id),
             )
         columnar("b", 50)
-        worker._flush_task(splitter)
+        worker.core.flush(splitter.task_id, final=False)
         position = {word: i for i, word in enumerate(order)}
         seen = 0
         for edge, messages in sent.items():
@@ -396,12 +399,9 @@ class TestColumnarCoalescing:
             )
             batch.source_task = splitter.task_id
             batch.event_times = np.zeros(3)
-            for sealed in worker.buffers[edge].append_columns(
-                batch, worker.spec.batch_for(edge)
-            ):
-                worker._send(*edge, sealed)
-        for sealed in worker.buffers[edge].flush():
-            worker._send(*edge, sealed)
+            worker.core.route_columns(splitter, batch)
+        worker.core.flush(splitter.task_id, final=False)
+        assert list(sent) == [edge]
         messages = sent[edge]
         assert [rows for _, rows, _ in messages] == [
             [("x",), ("y",), ("y",)],

@@ -23,11 +23,7 @@ from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
 from repro.runtime import FaultPlan, ProcessPoolBackend
 from repro.runtime.backends import resolve_backend
-from repro.runtime.dataplane import VECTORIZED_MODES, columns_available
-
-pytestmark = pytest.mark.skipif(
-    not columns_available(), reason="numpy unavailable"
-)
+from repro.runtime.dataplane import VECTORIZED_MODES
 
 EVENTS = 200
 
@@ -163,15 +159,26 @@ class TestCounters:
         )
         assert all(v == 0 for v in vectorized_counters(registry).values())
 
-    def test_inline_per_tuple_histograms_fall_back(self):
-        # Instrumented inline runs time every process() call, so kernels
-        # are disabled and each drained batch at a kernel-capable
-        # operator is a counted fallback.
+    def test_inline_instrumented_runs_keep_kernels(self):
+        # Instrumented inline runs time each operator call, kernel calls
+        # included, so kernels stay on and nothing falls back.
         registry = MetricsRegistry()
-        run_app("wc", "auto", registry=registry)
+        result = run_app("wc", "auto", registry=registry)
         counters = vectorized_counters(registry)
-        assert counters["batches"] == 0
-        assert counters["fallbacks"] > 0
+        assert counters["batches"] > 0
+        assert counters["fallbacks"] == 0
+        histograms = registry.snapshot()["histograms"]
+        samples = sum(
+            histograms[f"engine.counter.{replica}.process_ns"]["count"]
+            for replica in range(REPLICATION["wc"]["counter"])
+        )
+        counted = sum(
+            stats.tuples_in
+            for stats in result.task_stats.values()
+            if stats.component == "counter"
+        )
+        # One sample per kernel call, not per tuple.
+        assert 0 < samples < counted
 
 
 class _DictSpout(Spout):
