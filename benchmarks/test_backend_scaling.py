@@ -23,7 +23,6 @@ from time import perf_counter
 
 from repro.dsps.engine import LocalEngine
 from repro.metrics import MetricsRegistry, format_table
-from repro.runtime import ProcessPoolBackend
 
 from support import QUICK, bundle, write_result
 
@@ -40,13 +39,13 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _timed(topology, backend, registry=None):
+def _timed(topology, registry=None, **settings):
     engine = LocalEngine(
         topology,
         replication=REPLICATION,
         registry=registry,
-        backend=backend,
         queue_budget=QUEUE_BUDGET,
+        **settings,
     )
     started = perf_counter()
     result = engine.run(EVENTS)
@@ -76,14 +75,14 @@ def test_backend_scaling():
     workers = min(4, max(2, cores))
 
     # Warm import/allocation paths once per backend.
-    _timed(topology, "inline")
-    _timed(topology, ProcessPoolBackend(n_workers=workers))
+    _timed(topology)
+    _timed(topology, backend="process", n_workers=workers)
 
     inline_registry = MetricsRegistry()
-    inline_s, inline_result = _timed(topology, "inline", inline_registry)
+    inline_s, inline_result = _timed(topology, inline_registry)
     process_registry = MetricsRegistry()
     process_s, process_result = _timed(
-        topology, ProcessPoolBackend(n_workers=workers), process_registry
+        topology, process_registry, backend="process", n_workers=workers
     )
 
     # Functional agreement between the two executions of the same lowering.

@@ -38,7 +38,7 @@ from repro.apps.workloads import sentences
 from repro.dsps.engine import LocalEngine
 from repro.dsps.tuples import StreamTuple
 from repro.metrics import MetricsRegistry, format_table
-from repro.runtime import BatchCodec, ProcessPoolBackend, shm_available
+from repro.runtime import BatchCodec, shm_available
 
 from support import QUICK, bundle, write_result
 
@@ -103,7 +103,9 @@ def _timed(topology, dataplane, registry=None):
         topology,
         replication=REPLICATION,
         registry=registry,
-        backend=ProcessPoolBackend(n_workers=WORKERS, dataplane=dataplane),
+        backend="process",
+        n_workers=WORKERS,
+        dataplane=dataplane,
         queue_budget=QUEUE_BUDGET,
     )
     started = perf_counter()
@@ -399,7 +401,6 @@ def _timed_strings(string_dict, registry=None):
         backend="process",
         n_workers=WORKERS,
         dataplane="shm",
-        vectorized="on",
         fuse="auto",
         string_dict=string_dict,
         queue_budget=QUEUE_BUDGET,

@@ -37,7 +37,7 @@ import pytest
 from repro.apps.wordcount import build_wordcount
 from repro.dsps.engine import LocalEngine
 from repro.metrics import MetricsRegistry, format_table
-from repro.runtime import AdaptiveBatchConfig, ProcessPoolBackend, shm_available
+from repro.runtime import shm_available
 
 from support import QUICK, write_result
 
@@ -69,11 +69,9 @@ def _timed_wc(fused: bool, registry: MetricsRegistry | None = None):
     engine = LocalEngine(
         topology,
         registry=registry,
-        backend=ProcessPoolBackend(
-            n_workers=WORKERS,
-            dataplane="shm",
-            batching=AdaptiveBatchConfig() if fused else None,
-        ),
+        backend="process",
+        n_workers=WORKERS,
+        dataplane="shm",
         queue_budget=QUEUE_BUDGET,
         fuse="auto" if fused else "off",
         adaptive_batch=fused,

@@ -53,7 +53,7 @@ from repro.apps.spike_detection import build_spike_detection
 from repro.apps.wordcount import build_wordcount
 from repro.dsps.engine import LocalEngine
 from repro.metrics import MetricsRegistry, format_table
-from repro.runtime import FusionConfig, ProcessPoolBackend, shm_available
+from repro.runtime import FusionConfig, shm_available
 
 from support import QUICK, write_result
 
@@ -127,9 +127,10 @@ def _timed_wc(
         _topology("wc", keep_samples=0),
         replication=replication,
         registry=registry,
-        backend=ProcessPoolBackend(
-            n_workers=WORKERS, dataplane="shm", vectorized=vectorized
-        ),
+        backend="process",
+        n_workers=WORKERS,
+        dataplane="shm",
+        vectorized=vectorized,
         queue_budget=QUEUE_BUDGET,
     )
     started = perf_counter()
@@ -160,21 +161,19 @@ def _task_counters(result):
 
 def _parity_run(app: str, backend_name: str, vectorized: str):
     replication = PARITY_REPLICATION[app]
-    if backend_name == "inline":
-        backend, mode = "inline", vectorized
-    else:
-        backend = ProcessPoolBackend(
+    settings = {}
+    if backend_name != "inline":
+        settings = dict(
+            backend="process",
             n_workers=WORKERS,
             dataplane=backend_name.removeprefix("process-"),
-            vectorized=vectorized,
         )
-        mode = None
     engine = LocalEngine(
         _topology(app, keep_samples=10**6),
         replication=replication,
-        backend=backend,
-        vectorized=mode,
+        vectorized=vectorized,
         queue_budget=QUEUE_BUDGET,
+        **settings,
     )
     return engine.run(PARITY_EVENTS)
 
@@ -188,7 +187,7 @@ def _parity_matrix() -> dict:
         row: dict[str, bool] = {}
         for backend_name in backends:
             off = _parity_run(app, backend_name, "off")
-            on = _parity_run(app, backend_name, "on")
+            on = _parity_run(app, backend_name, "auto")
             identical = (
                 off.events_ingested == on.events_ingested
                 and off.sink_received() == on.sink_received()
@@ -217,20 +216,20 @@ def _inline_lr(vectorized: str, keep_samples: int):
 def _compare_inline() -> dict:
     """LR inline, scalar vs kernels: the artefact's ``inline`` entry."""
     timed = {}
-    for vectorized in ("off", "on"):
+    for vectorized in ("off", "auto"):
         _inline_lr(vectorized, keep_samples=0)  # warm-up
         runs = [_inline_lr(vectorized, keep_samples=0) for _ in range(3)]
         timed[vectorized] = min(runs, key=lambda run: run[0])
     _, off = _inline_lr("off", keep_samples=10**6)
-    _, on = _inline_lr("on", keep_samples=10**6)
+    _, on = _inline_lr("auto", keep_samples=10**6)
     parity = {
         "sink_multisets": _sink_multiset(off) == _sink_multiset(on),
         "task_counters": _task_counters(off) == _task_counters(on),
     }
     assert all(parity.values()), parity
-    off_s, on_s = timed["off"][0], timed["on"][0]
+    off_s, on_s = timed["off"][0], timed["auto"][0]
     tuples_delivered = timed["off"][1].sink_received()
-    assert timed["on"][1].sink_received() == tuples_delivered
+    assert timed["auto"][1].sink_received() == tuples_delivered
     return {
         "app": "lr",
         "fuse": "auto",
@@ -246,12 +245,12 @@ def _compare_modes(replication: dict | None) -> dict:
     ``scalar``/``vectorized``/``speedup`` entries."""
     # Warm import/fork/allocation paths once per mode.
     _timed_wc("off", replication=replication)
-    _timed_wc("on", replication=replication)
+    _timed_wc("auto", replication=replication)
 
     off_registry = MetricsRegistry()
     off_s, off_result = _timed_wc("off", off_registry, replication)
     on_registry = MetricsRegistry()
-    on_s, on_result = _timed_wc("on", on_registry, replication)
+    on_s, on_result = _timed_wc("auto", on_registry, replication)
 
     # Kernels may only change speed, never results.
     assert on_result.events_ingested == off_result.events_ingested

@@ -19,23 +19,23 @@ from repro.apps import APP_NAMES, build_wordcount, load_application
 from repro.core import PerformanceModel, RLASOptimizer, TfMode
 from repro.core.scaling import saturation_ingress
 from repro.dsps.engine import LocalEngine
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.hardware import server_a, server_b
 from repro.metrics import MetricsRegistry, build_report, format_table, write_report
 from repro.runtime import (
+    BACKEND_NAMES,
     DATAPLANE_NAMES,
     FUSE_MODES,
     RECOVERY_POLICIES,
     SHED_MODES,
     STRING_DICT_MODES,
     VECTORIZED_MODES,
-    AdaptiveBatchConfig,
     DegradeContext,
     FaultPlan,
     FusionConfig,
     OverloadConfig,
-    ProcessPoolBackend,
     ReconfigController,
+    RunConfig,
 )
 from repro.simulation import DiscreteEventSimulator, FlowSimulator
 
@@ -126,32 +126,60 @@ def _overload_config(args: argparse.Namespace) -> OverloadConfig | None:
     )
 
 
-def _run_backend(args: argparse.Namespace):
-    """Resolve cmd_run's backend, applying the watchdog override."""
-    if args.backend == "process" and args.watchdog_timeout is not None:
-        return ProcessPoolBackend(
-            n_workers=args.workers,
-            heartbeat_timeout_s=args.watchdog_timeout,
-            dataplane=args.dataplane,
-            vectorized=args.vectorized,
-            string_dict=args.string_dict,
-            batching=(
-                AdaptiveBatchConfig() if args.adaptive_batch else None
-            ),
-            overload=_overload_config(args),
-        )
-    return args.backend
+def _run_settings(args: argparse.Namespace, profiles) -> dict:
+    """Every setting of ``repro run``: the :class:`RunConfig` fields the
+    engine validates.
 
-
-def _run_fusion(args: argparse.Namespace, profiles) -> FusionConfig:
-    """cmd_run's fusion config: mode from ``--fuse``, with the app's
-    measured profiles and the selected machine model attached so ``auto``
-    applies the RLAS cost model's profitability test."""
-    return FusionConfig(
-        mode=args.fuse,
-        profiles=profiles,
-        machine=_machine(args),
+    ``--fuse`` carries the app's measured profiles and the selected
+    machine model, so ``auto`` applies the RLAS cost model's
+    profitability test; ``--recovery-policy degrade`` replans against
+    the same machine model.
+    """
+    return dict(
+        backend=args.backend,
+        n_workers=args.workers,
+        dataplane=args.dataplane,
+        vectorized=args.vectorized,
+        string_dict=args.string_dict,
+        batch_size=args.batch_size,
+        queue_capacity=args.queue_capacity,
+        epoch_interval=args.epoch_interval,
+        fuse=FusionConfig(mode=args.fuse, profiles=profiles, machine=_machine(args)),
+        adaptive_batch=args.adaptive_batch,
+        overload=_overload_config(args),
+        fault_plan=(
+            FaultPlan.from_cli(args.inject_faults) if args.inject_faults else None
+        ),
+        recovery_policy=args.recovery_policy,
+        max_restarts=args.max_restarts,
+        degrade=(
+            DegradeContext(profiles=profiles, machine=_machine(args))
+            if args.recovery_policy == "degrade"
+            else None
+        ),
+        heartbeat_timeout_s=args.watchdog_timeout,
     )
+
+
+def _run_meta(args: argparse.Namespace, topology, config: RunConfig) -> dict:
+    """The ``engine-run`` report meta, for failed and completed runs alike."""
+    overload = config.overload
+    return {
+        "app": args.app,
+        "events": args.events,
+        "batch_size": config.batch_size,
+        "backend": config.backend,
+        "dataplane": config.dataplane,
+        "vectorized": config.vectorized,
+        "string_dict": config.string_dict,
+        "fuse": config.fuse.mode,
+        "adaptive_batch": config.adaptive_batch is not None,
+        "topology": topology.name,
+        "epoch_interval": config.epoch_interval,
+        "adapt": config.reconfig is not None,
+        "max_lag_ms": overload.max_lag_ms if overload is not None else None,
+        "shed": overload.shed_mode if overload is not None else "off",
+    }
 
 
 def _recovery_data(recovery, fault_summary) -> dict:
@@ -313,38 +341,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     try:
         topology = _shifted_topology(args, topology)
-        fault_plan = (
-            FaultPlan.from_cli(args.inject_faults) if args.inject_faults else None
-        )
-        degrade = None
-        if args.recovery_policy == "degrade":
-            machine = _SERVERS[args.server](args.sockets)
-            degrade = DegradeContext(profiles=profiles, machine=machine)
-        engine_kwargs = dict(
-            batch_size=args.batch_size,
-            registry=registry,
-            backend=_run_backend(args),
-            queue_capacity=args.queue_capacity,
-            n_workers=args.workers,
-            dataplane=args.dataplane,
-            vectorized=args.vectorized,
-            string_dict=args.string_dict,
-            fault_plan=fault_plan,
-            recovery_policy=args.recovery_policy,
-            max_restarts=args.max_restarts,
-            degrade=degrade,
-            epoch_interval=args.epoch_interval,
-            fuse=_run_fusion(args, profiles),
-            adaptive_batch=args.adaptive_batch or None,
-            overload=_overload_config(args),
-        )
+        settings = _run_settings(args, profiles)
         if args.adapt:
             plan, controller = _adapt_setup(args, topology, profiles, registry)
             engine = LocalEngine.from_plan(
-                plan.expanded_plan, reconfig=controller, **engine_kwargs
+                plan.expanded_plan, registry=registry, reconfig=controller, **settings
             )
         else:
-            engine = LocalEngine(topology, **engine_kwargs)
+            engine = LocalEngine(topology, registry=registry, **settings)
+    except ReproError as exc:
+        print(f"invalid run settings: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    try:
         result = engine.run(args.events)
     except ExecutionError as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -355,24 +363,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"partial progress: {partial.events_ingested} events ingested, "
                 f"{partial.sink_received()} tuples at sinks"
             )
+        meta = _run_meta(args, topology, engine.config)
+        meta.update(failed=True, error=type(exc).__name__)
         _emit(
             args,
             "engine-run",
             registry,
-            meta={
-                "app": args.app,
-                "events": args.events,
-                "batch_size": args.batch_size,
-                "backend": args.backend,
-                "dataplane": args.dataplane,
-                "vectorized": args.vectorized,
-                "string_dict": args.string_dict,
-                "fuse": args.fuse,
-                "adaptive_batch": bool(args.adaptive_batch),
-                "topology": topology.name,
-                "failed": True,
-                "error": type(exc).__name__,
-            },
+            meta=meta,
             data=_recovery_data(
                 exc.recovery,
                 partial.fault_summary if partial is not None else None,
@@ -407,22 +404,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         args,
         "engine-run",
         registry,
-        meta={
-            "app": args.app,
-            "events": args.events,
-            "batch_size": args.batch_size,
-            "backend": args.backend,
-            "dataplane": args.dataplane,
-            "vectorized": args.vectorized,
-            "string_dict": args.string_dict,
-            "fuse": args.fuse,
-            "adaptive_batch": bool(args.adaptive_batch),
-            "topology": topology.name,
-            "epoch_interval": args.epoch_interval,
-            "adapt": bool(args.adapt),
-            "max_lag_ms": args.max_lag_ms,
-            "shed": args.shed,
-        },
+        meta=_run_meta(args, topology, engine.config),
         data=_run_data(result),
     )
     return 0
@@ -511,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=int, default=64)
     run.add_argument(
         "--backend",
-        choices=("inline", "process"),
+        choices=BACKEND_NAMES,
         default="inline",
         help="executor backend (see docs/runtime.md)",
     )
@@ -537,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "columnar kernel dispatch: auto (use numpy kernels when "
-            "operator and schema qualify), on (same as auto) or off "
-            "(scalar dispatch only; see docs/vectorized.md)"
+            "operator and schema qualify) or off (scalar dispatch only; "
+            "see docs/vectorized.md)"
         ),
     )
     run.add_argument(
@@ -689,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--watchdog-timeout",
         type=float,
-        default=None,
+        default=RunConfig.heartbeat_timeout_s,
         metavar="S",
         help="heartbeat watchdog timeout for --backend process (seconds)",
     )

@@ -1,7 +1,8 @@
 """Unified runtime layer: lowering + pluggable executor backends.
 
 This package owns the single translation from ``(Topology, ExecutionPlan)``
-to runnable state (:mod:`repro.runtime.lowering`), the result types every
+to runnable state (:mod:`repro.runtime.lowering`), the one validated run
+configuration (:mod:`repro.runtime.config`), the result types every
 executor produces (:mod:`repro.runtime.results`), and the executor
 backends themselves (:mod:`repro.runtime.backends`,
 :mod:`repro.runtime.process_pool`).  The functional engine facade
@@ -34,12 +35,12 @@ docs/overload.md.
 """
 
 from repro.runtime.backends import (
-    BACKEND_NAMES,
     ExecutorBackend,
     InlineBackend,
+    make_backend,
     publish_engine_metrics,
-    resolve_backend,
 )
+from repro.runtime.config import BACKEND_NAMES, RunConfig
 from repro.runtime.epochs import (
     EpochCheckpoint,
     EpochCommit,
@@ -170,6 +171,7 @@ __all__ = [
     "RecoveryReport",
     "RouteSpec",
     "RunResult",
+    "RunConfig",
     "RuntimeSpec",
     "Supervisor",
     "TaskRuntime",
@@ -181,10 +183,10 @@ __all__ = [
     "instantiate_tasks",
     "lower_graph",
     "lower_plan",
+    "make_backend",
     "merge_fault_summaries",
     "plan_fusion",
     "publish_engine_metrics",
     "refit_fusion",
-    "resolve_backend",
     "validate_fuse",
 ]

@@ -17,8 +17,11 @@ routes) from *how* it runs:
   execution on multiprocessing workers grouped by plan socket (imported
   lazily to keep this module light).
 
-Backends receive a spec, an event budget and a metrics registry, and
-return the same :class:`~repro.runtime.results.RunResult` shape.
+:func:`make_backend` builds the backend a
+:class:`~repro.runtime.config.RunConfig` names; each backend reads its
+settings from that config.  Backends receive a spec, an event budget and
+a metrics registry, and return the same
+:class:`~repro.runtime.results.RunResult` shape.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
-from repro.runtime.dataplane.columns import VECTORIZED_MODES, ColumnBatch, burst
-from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
+from repro.runtime.dataplane.columns import ColumnBatch, burst
+from repro.runtime.batching import AdaptiveBatchController
+from repro.runtime.config import RunConfig
 from repro.runtime.epochs import (
     EpochCheckpoint,
     EpochCommit,
@@ -49,8 +53,7 @@ from repro.runtime.epochs import (
     EpochReport,
     Migration,
 )
-from repro.runtime.fusion import validate_fuse
-from repro.runtime.overload import OverloadConfig, OverloadManager, SendRetryPolicy
+from repro.runtime.overload import OverloadManager
 from repro.runtime.lowering import RuntimeSpec, TaskRuntime, apply_edge_batches
 from repro.runtime.results import RunResult
 from repro.runtime.taskcore import TaskCore
@@ -63,10 +66,6 @@ if TYPE_CHECKING:
     #: Barrier observer: sees each committed epoch, may return a live
     #: plan migration to apply before the stream resumes.
     OnEpoch = Callable[[EpochCommit], Migration | None]
-
-#: Backend names :func:`resolve_backend` accepts.
-BACKEND_NAMES = ("inline", "process")
-
 
 class ExecutorBackend(ABC):
     """Strategy interface: execute a lowered spec and report the outcome."""
@@ -104,91 +103,27 @@ class ExecutorBackend(ABC):
         """
 
 
-def validate_vectorized(vectorized: str) -> None:
-    """Reject unknown ``--vectorized`` modes with a typed error."""
-    if vectorized not in VECTORIZED_MODES:
-        raise ExecutionError(
-            f"unknown vectorized mode {vectorized!r}; "
-            f"expected one of {VECTORIZED_MODES}"
-        )
-
-
-def resolve_backend(
-    backend: "str | ExecutorBackend",
-    *,
-    n_workers: int | None = None,
-    ordered: bool = False,
-    dataplane: str | None = None,
-    vectorized: str | None = None,
-    string_dict: str | None = None,
-    fuse: str | None = None,
-    batching: AdaptiveBatchConfig | None = None,
-    overload: OverloadConfig | None = None,
-    send_retry: SendRetryPolicy | None = None,
-) -> ExecutorBackend:
-    """Turn a backend name (or pass through an instance) into a backend.
-
-    ``n_workers``/``ordered``/``dataplane`` only apply when constructing
-    the process backend from its name; the inline backend runs in one
-    process and moves no bytes, so any requested data plane is accepted
-    and ignored there.  ``vectorized`` selects the columnar kernel mode
-    (see :data:`~repro.runtime.dataplane.columns.VECTORIZED_MODES`) on
-    both backends; ``None`` means ``auto``.  ``fuse`` is validated here
-    for early CLI errors but lives on the *spec* (fused chains are
-    derived at lowering time by :func:`repro.runtime.fusion.plan_fusion`);
-    ``batching`` arms the adaptive per-edge batch-size controller on
-    either backend.  ``overload`` arms the overload-control ladder
-    (:mod:`repro.runtime.overload`) on either backend; ``send_retry``
-    tunes the process backend's blocking-send retry/circuit-breaker
-    policy and is accepted-and-ignored by the inline backend (which
-    never crosses a process boundary).  ``string_dict`` selects the
-    adaptive string-dictionary mode for the shm codec (see
-    :data:`~repro.runtime.dataplane.codec.STRING_DICT_MODES`); the
-    inline backend accepts-and-ignores it for the same reason.
-    """
-    if n_workers is not None and n_workers < 1:
-        raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
-    if dataplane is not None:
-        from repro.runtime.dataplane import DATAPLANE_NAMES
-
-        if dataplane not in DATAPLANE_NAMES:
-            raise ExecutionError(
-                f"unknown dataplane {dataplane!r}; "
-                f"expected one of {DATAPLANE_NAMES}"
-            )
-    if vectorized is not None:
-        validate_vectorized(vectorized)
-    if string_dict is not None:
-        from repro.runtime.dataplane import STRING_DICT_MODES
-
-        if string_dict not in STRING_DICT_MODES:
-            raise ExecutionError(
-                f"unknown string_dict {string_dict!r}; "
-                f"expected one of {STRING_DICT_MODES}"
-            )
-    if fuse is not None:
-        validate_fuse(fuse)
-    if isinstance(backend, ExecutorBackend):
-        return backend
-    if backend == "inline":
-        return InlineBackend(
-            vectorized=vectorized or "auto", batching=batching, overload=overload
-        )
-    if backend == "process":
+def make_backend(config: RunConfig) -> ExecutorBackend:
+    """The backend ``config`` names, wrapped in a
+    :class:`~repro.runtime.supervisor.Supervisor` when the run asks for
+    fault injection or a recovery policy (the supervisor's constructor
+    validates the recovery settings)."""
+    if config.backend == "process":
         from repro.runtime.process_pool import ProcessPoolBackend
 
-        return ProcessPoolBackend(
-            n_workers=n_workers,
-            ordered=ordered,
-            dataplane=dataplane if dataplane is not None else "pickle",
-            vectorized=vectorized or "auto",
-            string_dict=string_dict or "auto",
-            batching=batching,
-            overload=overload,
-            send_retry=send_retry,
-        )
-    raise ExecutionError(
-        f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
+        backend: ExecutorBackend = ProcessPoolBackend(config)
+    else:
+        backend = InlineBackend(config)
+    if config.fault_plan is None and config.recovery_policy is None:
+        return backend
+    from repro.runtime.supervisor import Supervisor
+
+    return Supervisor(
+        backend,
+        policy=config.recovery_policy or "fail-fast",
+        fault_plan=config.fault_plan,
+        max_restarts=config.max_restarts,
+        degrade=config.degrade,
     )
 
 
@@ -246,17 +181,8 @@ class InlineBackend(ExecutorBackend):
 
     name = "inline"
 
-    def __init__(
-        self,
-        *,
-        vectorized: str = "auto",
-        batching: AdaptiveBatchConfig | None = None,
-        overload: OverloadConfig | None = None,
-    ) -> None:
-        validate_vectorized(vectorized)
-        self.vectorized = vectorized
-        self.batching = batching
-        self.overload = overload
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
 
     def execute(
         self,
@@ -276,11 +202,9 @@ class InlineBackend(ExecutorBackend):
             spec,
             max_events,
             registry,
+            self.config,
             injector,
-            vectorized=self.vectorized,
-            batching=self.batching,
-            overload=self.overload,
-            epochs=epochs,
+            epochs=epochs if epochs is not None else self.config.epochs,
             resume=resume,
             on_epoch=on_epoch,
         ).execute()
@@ -312,11 +236,9 @@ class _InlineRun:
         spec: RuntimeSpec,
         max_events: int,
         registry: MetricsRegistry,
+        config: RunConfig,
         injector: "FaultInjector | None" = None,
         *,
-        vectorized: str = "auto",
-        batching: AdaptiveBatchConfig | None = None,
-        overload: OverloadConfig | None = None,
         epochs: EpochConfig | None = None,
         resume: EpochCheckpoint | None = None,
         on_epoch: "OnEpoch | None" = None,
@@ -330,19 +252,14 @@ class _InlineRun:
         # Adaptive batch sizing only ever adjusts at epoch barriers; an
         # epoch-less run keeps its lowered sizes.
         self.controller = (
-            AdaptiveBatchController(spec, batching)
-            if batching is not None
+            AdaptiveBatchController(spec, config.adaptive_batch)
+            if config.adaptive_batch is not None
             else None
         )
         # Overload control steps at the same barriers (docs/overload.md).
-        if overload is not None and epochs is None:
-            raise ExecutionError(
-                "overload control requires epoch barriers (pass an "
-                "EpochConfig / --epoch-interval)"
-            )
         self.overload = (
-            OverloadManager(spec, overload, epochs.interval, registry)
-            if overload is not None
+            OverloadManager(spec, config.overload, epochs.interval, registry)
+            if config.overload is not None
             else None
         )
         if resume is not None and epochs is None:
@@ -370,7 +287,7 @@ class _InlineRun:
             spec,
             spec.tasks,
             max_events,
-            vectorized=vectorized,
+            vectorized=config.vectorized,
             injector=injector,
             registry=registry,
             emit=self._emit,

@@ -69,8 +69,11 @@ DATAPLANE_NAMES = ("pickle", "shm")
 #: Shared-memory segment name prefix (kept short for macOS's 31-char cap).
 SHM_NAME_PREFIX = "rdp"
 
-#: Default per-pair ring capacity in bytes.
+#: Per-worker-pair ring capacity in bytes.
 DEFAULT_RING_BYTES = 1 << 20
+
+#: Bound, in jumbo batches, of each worker's inbox queue.
+DEFAULT_INBOX_BATCHES = 64
 
 #: Ring header: two u64 positions (write, read).
 _RING_HEADER_BYTES = 16
@@ -464,10 +467,10 @@ class DataPlane(ABC):
 
     name: str = "abstract"
 
-    def __init__(self, ctx: Any, n_workers: int, inbox_batches: int) -> None:
+    def __init__(self, ctx: Any, n_workers: int) -> None:
         self.n_workers = n_workers
         self.inboxes = [
-            ctx.Queue(maxsize=inbox_batches) for _ in range(n_workers)
+            ctx.Queue(maxsize=DEFAULT_INBOX_BATCHES) for _ in range(n_workers)
         ]
 
     @abstractmethod
@@ -493,13 +496,11 @@ class ShmDataPlane(DataPlane):
         self,
         ctx: Any,
         n_workers: int,
-        inbox_batches: int,
         *,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         edge_schemas: Mapping[tuple[int, int], str] | None = None,
         string_dict: str = "auto",
     ) -> None:
-        super().__init__(ctx, n_workers, inbox_batches)
+        super().__init__(ctx, n_workers)
         self.edge_schemas = dict(edge_schemas or {})
         self.string_dict = string_dict
         self.rings: dict[tuple[int, int], ShmRing] = {}
@@ -510,7 +511,7 @@ class ShmDataPlane(DataPlane):
                     if sender == dest:
                         continue
                     name = f"{run_tag}_{sender}_{dest}"
-                    self.rings[(sender, dest)] = ShmRing.create(name, ring_bytes)
+                    self.rings[(sender, dest)] = ShmRing.create(name, DEFAULT_RING_BYTES)
         except Exception as exc:
             self.close()
             raise ExecutionError(
@@ -539,15 +540,13 @@ def create_dataplane(
     name: str,
     ctx: Any,
     n_workers: int,
-    inbox_batches: int,
     *,
-    ring_bytes: int = DEFAULT_RING_BYTES,
     edge_schemas: Mapping[tuple[int, int], str] | None = None,
     string_dict: str = "auto",
 ) -> DataPlane:
     """Build the parent-side data plane for one execution attempt."""
     if name == "pickle":
-        return PickleDataPlane(ctx, n_workers, inbox_batches)
+        return PickleDataPlane(ctx, n_workers)
     if name == "shm":
         if not shm_available():
             raise ExecutionError(
@@ -557,8 +556,6 @@ def create_dataplane(
         return ShmDataPlane(
             ctx,
             n_workers,
-            inbox_batches,
-            ring_bytes=ring_bytes,
             edge_schemas=edge_schemas,
             string_dict=string_dict,
         )

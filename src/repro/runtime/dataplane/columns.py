@@ -53,10 +53,9 @@ BATCH_TYPECODES = FIELD_TYPECODES + DICT_TYPECODE
 
 #: Vectorized execution modes accepted by backends and the CLI:
 #: ``auto`` uses columnar kernels where operator and schema qualify and
-#: falls through silently otherwise, ``on`` behaves as ``auto`` (numpy
-#: is a hard dependency, so kernels are always runnable), ``off``
-#: disables columnar dispatch entirely.
-VECTORIZED_MODES = ("auto", "on", "off")
+#: falls through silently otherwise, ``off`` disables columnar dispatch
+#: entirely.
+VECTORIZED_MODES = ("auto", "off")
 
 #: Dtype negotiation table: wire typecode -> numpy dtype for the
 #: fixed-width columns that support zero-copy views.  Variable-length

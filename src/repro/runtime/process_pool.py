@@ -14,10 +14,12 @@ Flow control happens at three levels:
   append makes the producer process the consumer's backlog in place
   until the batch fits;
 * **remote edges** are physically bounded by the consumer worker's inbox
-  (``inbox_batches`` jumbo batches): a full inbox blocks the sending
-  task.  While blocked, a worker keeps draining its *own* inbox (admitting
-  over-capacity batches rather than deadlocking; such overflow is counted
-  and reported) so that mutually-sending workers always make progress;
+  (``DEFAULT_INBOX_BATCHES`` jumbo batches, see
+  :mod:`repro.runtime.dataplane.channels`): a full inbox blocks the
+  sending task.  While blocked, a worker keeps draining its *own* inbox
+  (admitting over-capacity batches rather than deadlocking; such
+  overflow is counted and reported) so that mutually-sending workers
+  always make progress;
 * **spouts** additionally check every downstream channel before
   generating a chunk and pause while any is full, so ingestion is
   throttled by the slowest consumer — the live analogue of the DES's
@@ -94,15 +96,9 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
-from repro.runtime.backends import (
-    ExecutorBackend,
-    publish_engine_metrics,
-    validate_vectorized,
-)
+from repro.runtime.backends import ExecutorBackend, publish_engine_metrics
+from repro.runtime.config import RunConfig
 from repro.runtime.dataplane import (
-    DATAPLANE_NAMES,
-    DEFAULT_RING_BYTES,
-    STRING_DICT_MODES,
     ChannelEndpoint,
     ColumnBatch,
     PickleQueueChannel,
@@ -114,12 +110,11 @@ from repro.runtime.epochs import (
     EpochConfig,
     EpochReport,
 )
-from repro.runtime.batching import AdaptiveBatchConfig, AdaptiveBatchController
+from repro.runtime.batching import AdaptiveBatchController
 from repro.runtime.faults import Fault, FaultInjector, merge_fault_summaries
 from repro.runtime.overload import (
     CircuitBreaker,
     EdgeWindow,
-    OverloadConfig,
     OverloadManager,
     SendRetryPolicy,
     Shedder,
@@ -131,9 +126,6 @@ from repro.runtime.taskcore import TaskCore
 
 if TYPE_CHECKING:
     from repro.runtime.backends import OnEpoch
-
-#: Default bound, in jumbo batches, of each worker's inbox queue.
-DEFAULT_INBOX_BATCHES = 64
 
 #: Events a spout generates per scheduling quantum.
 _SPOUT_CHUNK = 256
@@ -187,127 +179,30 @@ def _mp_context() -> mp.context.BaseContext:
 class ProcessPoolBackend(ExecutorBackend):
     """Execute a lowered spec on a pool of worker processes.
 
-    Parameters
-    ----------
-    n_workers:
-        Worker process count.  Defaults to one worker per placement
-        socket when the spec is placed on more than one socket, else
-        ``min(4, cpu_count)``.
-    ordered:
-        Process each task's input edges in strict declaration order
-        (see module docstring).  Default False (arrival order).
-    inbox_batches:
-        Bound, in jumbo batches, of each worker's inbox.
-    timeout_s:
-        Parent-side bound on each epoch slice (the whole run without
-        epochs); exceeding it raises :class:`~repro.errors.StallError`
-        (never a silent hang).
-    heartbeat_timeout_s:
-        A worker whose heartbeat is older than this is considered stalled
-        (parent side) or dead (peer side, combined with the status
-        array).  Workers heartbeat once per scheduling loop, so normal
-        operation refreshes it every few milliseconds.
-    send_timeout_s:
-        Worker-side bound on one blocked remote send; exceeding it with
-        the peer still alive raises
-        :class:`~repro.errors.QueueDeadlockError`.
-    dataplane:
-        Transport for remote batches: ``"pickle"`` (default — pickled
-        payloads inside the control queues, the historical behavior) or
-        ``"shm"`` (binary-codec payloads written once into per-pair
-        shared-memory rings, descriptors over the control queues).  See
-        docs/dataplane.md.
-    ring_bytes:
-        Capacity of each per-worker-pair ring when ``dataplane="shm"``.
-    vectorized:
-        Columnar kernel mode: ``"auto"`` (default — use vectorized
-        ``process_columns`` kernels, falling through per batch to the
-        scalar path), ``"on"`` (same as ``"auto"``) or ``"off"``
-        (scalar execution only).  See docs/vectorized.md.
-    batching:
-        Optional :class:`~repro.runtime.batching.AdaptiveBatchConfig`
-        enabling the per-edge AIMD batch-size controller.  Adjustments
-        happen only at epoch barriers (one AIMD step per slice, fed by
-        that slice's per-edge queue statistics and worker pressure
-        signals), so runs without an :class:`EpochConfig` keep their
-        configured sizes.  See docs/fusion.md.
-    overload:
-        Optional :class:`~repro.runtime.overload.OverloadConfig` arming
-        the overload-control ladder (lag SLOs, load shedding, spout
-        throttling).  Like adaptive batching it is stepped once per
-        epoch slice, so it requires an :class:`EpochConfig`.  See
-        docs/overload.md.
-    send_retry:
-        Optional :class:`~repro.runtime.overload.SendRetryPolicy`
-        overriding the blocked-send retry/backoff/circuit-breaker
-        behaviour; by default the policy's deadline is
-        ``send_timeout_s`` (preserving the historical bound) with
-        decorrelated-jitter sleeps and a half-open probe circuit.
+    Reads ``n_workers``, ``ordered``, ``dataplane``, ``vectorized``,
+    ``string_dict``, ``adaptive_batch``, ``overload`` and the three
+    timeouts from its :class:`~repro.runtime.config.RunConfig`:
+
+    * ``timeout_s`` bounds each epoch slice (the whole run without
+      epochs); exceeding it raises :class:`~repro.errors.StallError`
+      (never a silent hang);
+    * a worker whose heartbeat is older than ``heartbeat_timeout_s`` is
+      stalled (parent side) or dead (peer side, combined with the status
+      array).  Workers heartbeat once per scheduling loop, so normal
+      operation refreshes it every few milliseconds;
+    * ``send_timeout_s`` is the deadline of a blocked remote send's
+      retry/backoff/circuit-breaker policy
+      (:class:`~repro.runtime.overload.SendRetryPolicy`); exceeding it
+      with the peer still alive raises
+      :class:`~repro.errors.QueueDeadlockError`.
+
+    Adaptive batching and the overload ladder step once per epoch slice.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        *,
-        ordered: bool = False,
-        inbox_batches: int = DEFAULT_INBOX_BATCHES,
-        timeout_s: float = 300.0,
-        heartbeat_timeout_s: float = 10.0,
-        send_timeout_s: float = 30.0,
-        dataplane: str = "pickle",
-        ring_bytes: int = DEFAULT_RING_BYTES,
-        vectorized: str = "auto",
-        string_dict: str = "auto",
-        batching: AdaptiveBatchConfig | None = None,
-        overload: OverloadConfig | None = None,
-        send_retry: SendRetryPolicy | None = None,
-    ) -> None:
-        if n_workers is not None and n_workers < 1:
-            raise ExecutionError(f"n_workers must be >= 1, got {n_workers}")
-        if inbox_batches < 1:
-            raise ExecutionError(f"inbox_batches must be >= 1, got {inbox_batches}")
-        if timeout_s <= 0:
-            raise ExecutionError(f"timeout_s must be positive, got {timeout_s}")
-        if heartbeat_timeout_s <= 0:
-            raise ExecutionError(
-                f"heartbeat_timeout_s must be positive, got {heartbeat_timeout_s}"
-            )
-        if send_timeout_s <= 0:
-            raise ExecutionError(
-                f"send_timeout_s must be positive, got {send_timeout_s}"
-            )
-        if dataplane not in DATAPLANE_NAMES:
-            raise ExecutionError(
-                f"unknown dataplane {dataplane!r}; "
-                f"expected one of {DATAPLANE_NAMES}"
-            )
-        if ring_bytes < 4096:
-            raise ExecutionError(f"ring_bytes must be >= 4096, got {ring_bytes}")
-        validate_vectorized(vectorized)
-        if string_dict not in STRING_DICT_MODES:
-            raise ExecutionError(
-                f"unknown string_dict {string_dict!r}; "
-                f"expected one of {STRING_DICT_MODES}"
-            )
-        self.n_workers = n_workers
-        self.ordered = ordered
-        self.inbox_batches = inbox_batches
-        self.timeout_s = timeout_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.send_timeout_s = send_timeout_s
-        self.dataplane = dataplane
-        self.ring_bytes = ring_bytes
-        self.vectorized = vectorized
-        self.string_dict = string_dict
-        self.batching = batching
-        self.overload = overload
-        self.send_retry = (
-            send_retry
-            if send_retry is not None
-            else SendRetryPolicy(deadline_s=send_timeout_s)
-        )
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
 
     # ------------------------------------------------------------------
     # Parent side
@@ -316,7 +211,7 @@ class ProcessPoolBackend(ExecutorBackend):
         """Partition task ids over workers, grouping by plan socket."""
         groups = spec.socket_groups()
         sockets = sorted(groups)
-        n = self.n_workers
+        n = self.config.n_workers
         if n is None:
             n = len(sockets) if len(sockets) > 1 else min(4, os.cpu_count() or 1)
         n = max(1, n)
@@ -377,11 +272,9 @@ class ProcessPoolBackend(ExecutorBackend):
         if max_events < 0:
             raise TopologyError("max_events must be >= 0")
         registry = registry if registry is not None else NULL_REGISTRY
-        if epochs is None and self.overload is not None:
-            raise ExecutionError(
-                "overload control requires epoch barriers "
-                "(pass an EpochConfig / --epoch-interval)"
-            )
+        config = self.config
+        if epochs is None:
+            epochs = config.epochs
         if epochs is None and resume is not None:
             raise ExecutionError(
                 "resume from a checkpoint requires epoch barriers "
@@ -406,13 +299,13 @@ class ProcessPoolBackend(ExecutorBackend):
         fault_summaries: list[dict[str, float]] = []
         exhausted: set[int] = set()
         controller = (
-            AdaptiveBatchController(spec, self.batching)
-            if self.batching is not None
+            AdaptiveBatchController(spec, config.adaptive_batch)
+            if config.adaptive_batch is not None
             else None
         )
         manager = (
-            OverloadManager(spec, self.overload, interval, registry)
-            if self.overload is not None
+            OverloadManager(spec, config.overload, interval, registry)
+            if config.overload is not None
             else None
         )
         # Run-wide totals, folded from the per-slice windows workers post.
@@ -760,14 +653,13 @@ class _WorkerPool:
         # ring segments); close() is what guarantees no shared-memory
         # segment survives the run, even when workers crashed or the
         # watchdog fired mid-flight.
+        config = backend.config
         self.plane = create_dataplane(
-            backend.dataplane,
+            config.dataplane,
             ctx,
             n,
-            backend.inbox_batches,
-            ring_bytes=backend.ring_bytes,
             edge_schemas=spec.edge_schemas,
-            string_dict=backend.string_dict,
+            string_dict=config.string_dict,
         )
         self.results: Any = ctx.Queue()
         self.commands: list[Any] = [ctx.Queue() for _ in range(n)]
@@ -787,16 +679,15 @@ class _WorkerPool:
                     owner=self.owner,
                     max_events=max_events,
                     channel=self.plane.endpoint(worker_id),
-                    ordered=backend.ordered,
+                    ordered=config.ordered,
                     heartbeats=self.heartbeats,
                     status=self.status,
-                    heartbeat_timeout_s=backend.heartbeat_timeout_s,
-                    send_timeout_s=backend.send_timeout_s,
+                    heartbeat_timeout_s=config.heartbeat_timeout_s,
+                    send_timeout_s=config.send_timeout_s,
                     schedule=injector.schedule if injector else (),
                     attempt=injector.attempt if injector else 0,
-                    vectorized=backend.vectorized,
+                    vectorized=config.vectorized,
                     resume=resume,
-                    send_retry=backend.send_retry,
                 ),
                 daemon=True,
             )
@@ -818,7 +709,7 @@ class _WorkerPool:
         partial result merged from the outcomes received so far — this
         method never blocks unboundedly.
         """
-        timeout_s = self.backend.timeout_s
+        timeout_s = self.backend.config.timeout_s
         deadline = monotonic() + timeout_s
         # The deadline also bounds blocked sends inside the workers, so a
         # stalled send gives up when the slice is out of budget, not just
@@ -885,7 +776,7 @@ class _WorkerPool:
                         lost,
                     )
                 continue
-            heartbeat_timeout_s = self.backend.heartbeat_timeout_s
+            heartbeat_timeout_s = self.backend.config.heartbeat_timeout_s
             stale = [
                 wid
                 for wid in sorted(pending)
@@ -1022,7 +913,6 @@ class _Worker:
         attempt: int = 0,
         vectorized: str = "auto",
         resume: EpochCheckpoint | None = None,
-        send_retry: SendRetryPolicy | None = None,
     ) -> None:
         self.me = worker_id
         self.spec = spec
@@ -1045,11 +935,7 @@ class _Worker:
         # sleep timing (never data), and the run watchdog's deadline so a
         # stalled send cannot outlive ``timeout_s`` by up to the send
         # deadline.
-        self.send_policy = (
-            send_retry
-            if send_retry is not None
-            else SendRetryPolicy(deadline_s=send_timeout_s)
-        )
+        self.send_policy = SendRetryPolicy(deadline_s=send_timeout_s)
         self.breakers: dict[int, CircuitBreaker] = {}
         self.send_rng = random.Random(0x5EED ^ worker_id)
         self.mine: list[TaskRuntime] = [

@@ -85,6 +85,18 @@ class TestParser:
         stats = next(h for n, h in histograms.items() if n.endswith(".process_ns"))
         assert {"p50", "p95", "p99"} <= set(stats)
 
+    def test_failed_run_reports_the_same_meta_keys(self, tmp_path, capsys):
+        clean, failed = tmp_path / "clean.json", tmp_path / "failed.json"
+        run = ["run", "wc", "--events", "200", "--emit-metrics"]
+        assert main([*run, str(clean)]) == 0
+        crash = ["--inject-faults", "seed=3,kinds=crash,n=1,at=50"]
+        assert main([*run, str(failed), *crash, "--recovery-policy", "fail-fast"]) == 1
+        clean_meta, failed_meta = load_report(clean).meta, load_report(failed).meta
+        assert failed_meta["failed"] is True
+        assert set(failed_meta) == set(clean_meta) | {"failed", "error"}
+        shared = set(clean_meta) - {"failed", "error"}
+        assert {k: failed_meta[k] for k in shared} == {k: clean_meta[k] for k in shared}
+
     def test_optimize_emits_metrics_report(self, tmp_path, capsys):
         target = tmp_path / "opt.json"
         assert (

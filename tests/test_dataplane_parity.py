@@ -15,7 +15,7 @@ from repro.apps import load_application
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
-from repro.runtime import ProcessPoolBackend, resolve_backend, shm_available
+from repro.runtime import RunConfig, make_backend, shm_available
 
 EVENTS = 300
 
@@ -52,10 +52,14 @@ def run_app(app, *, backend="inline", registry=None, **kwargs):
     return engine.run(EVENTS)
 
 
-def process_backend(app, dataplane, **kwargs):
-    ordered = app == "lr"
-    return ProcessPoolBackend(
-        n_workers=2, ordered=ordered, dataplane=dataplane, **kwargs
+def process_settings(app, dataplane, **kwargs):
+    """Engine settings for a 2-worker process run on ``dataplane``."""
+    return dict(
+        backend="process",
+        n_workers=2,
+        ordered=app == "lr",
+        dataplane=dataplane,
+        **kwargs,
     )
 
 
@@ -84,16 +88,17 @@ def assert_parity(reference, candidate):
 
 class TestDataplaneResolution:
     def test_resolve_accepts_both_planes(self):
-        assert resolve_backend("process", dataplane="pickle").dataplane == "pickle"
-        assert resolve_backend("process", dataplane="shm").dataplane == "shm"
+        for plane in ("pickle", "shm"):
+            config = RunConfig(backend="process", dataplane=plane)
+            assert make_backend(config).config.dataplane == plane
 
     def test_resolve_rejects_unknown_plane(self):
         with pytest.raises(ExecutionError, match="unknown dataplane"):
-            resolve_backend("process", dataplane="rdma")
+            RunConfig(backend="process", dataplane="rdma")
 
     def test_backend_rejects_unknown_plane(self):
         with pytest.raises(ExecutionError, match="unknown dataplane"):
-            ProcessPoolBackend(dataplane="zeromq")
+            RunConfig(dataplane="zeromq")
 
     def test_inline_ignores_dataplane(self):
         # The inline backend has no inter-process edges; selecting a data
@@ -109,14 +114,14 @@ class TestPickleShmParity:
     @needs_shm
     def test_shm_matches_inline(self, app):
         reference = run_app(app)
-        candidate = run_app(app, backend=process_backend(app, "shm"))
+        candidate = run_app(app, **process_settings(app, "shm"))
         assert_parity(reference, candidate)
 
     @pytest.mark.parametrize("app", ["wc", "fd", "sd", "lr"])
     @needs_shm
     def test_shm_matches_pickle(self, app):
-        pickled = run_app(app, backend=process_backend(app, "pickle"))
-        shm = run_app(app, backend=process_backend(app, "shm"))
+        pickled = run_app(app, **process_settings(app, "pickle"))
+        shm = run_app(app, **process_settings(app, "shm"))
         assert_parity(pickled, shm)
 
 
@@ -142,9 +147,7 @@ class TestStringDictParity:
     def test_shm_dict_matches_inline(self, app, mode, references):
         candidate = run_app(
             app,
-            backend=process_backend(
-                app, "shm", vectorized="on", string_dict=mode
-            ),
+            **process_settings(app, "shm", string_dict=mode),
         )
         assert_parity(references[app], candidate)
 
@@ -153,9 +156,7 @@ class TestStringDictParity:
     def test_pickle_dict_matches_inline(self, app, mode, references):
         candidate = run_app(
             app,
-            backend=process_backend(
-                app, "pickle", vectorized="on", string_dict=mode
-            ),
+            **process_settings(app, "pickle", string_dict=mode),
         )
         assert_parity(references[app], candidate)
 
@@ -165,19 +166,17 @@ class TestStringDictParity:
         # promoted on its first batch, including low-cardinality losers.
         candidate = run_app(
             "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="on"
-            ),
+            **process_settings("wc", "shm", string_dict="on"),
         )
         assert_parity(references["wc"], candidate)
 
     def test_backend_rejects_unknown_mode(self):
         with pytest.raises(ExecutionError, match="unknown string_dict"):
-            ProcessPoolBackend(string_dict="zstd")
+            RunConfig(string_dict="zstd")
 
     def test_resolve_rejects_unknown_mode(self):
         with pytest.raises(ExecutionError, match="unknown string_dict"):
-            resolve_backend("process", string_dict="zstd")
+            RunConfig(backend="process", string_dict="zstd")
 
 
 class TestStringDictRecovery:
@@ -194,15 +193,11 @@ class TestStringDictRecovery:
     def test_dict_state_resets_exactly_once_under_crash_retry(self):
         from repro.runtime import FaultPlan
 
-        backend = process_backend(
-            "wc", "shm", vectorized="on", string_dict="on"
-        )
-        reference = run_app("wc", backend=backend)
+        settings = process_settings("wc", "shm", string_dict="on")
+        reference = run_app("wc", **settings)
         faulty = run_app(
             "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="on"
-            ),
+            **process_settings("wc", "shm", string_dict="on"),
             fault_plan=FaultPlan(seed=3, kinds=("crash",), at_tuple=20),
             recovery_policy="retry",
         )
@@ -216,7 +211,7 @@ class TestDataplaneMetrics:
     def test_shm_run_reports_inline_bytes(self):
         registry = MetricsRegistry()
         result = run_app(
-            "wc", backend=process_backend("wc", "shm"), registry=registry
+            "wc", **process_settings("wc", "shm"), registry=registry
         )
         assert result.sink_received() == EVENTS * 10
         counters = registry.snapshot()["counters"]
@@ -228,7 +223,7 @@ class TestDataplaneMetrics:
 
     def test_pickle_run_reports_dataplane_bytes(self):
         registry = MetricsRegistry()
-        run_app("wc", backend=process_backend("wc", "pickle"), registry=registry)
+        run_app("wc", **process_settings("wc", "pickle"), registry=registry)
         counters = registry.snapshot()["counters"]
         assert counters["runtime.run.pickled_bytes"] > 0
         assert (
@@ -241,9 +236,7 @@ class TestDataplaneMetrics:
         registry = MetricsRegistry()
         result = run_app(
             "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="on"
-            ),
+            **process_settings("wc", "shm", string_dict="on"),
             registry=registry,
         )
         assert result.sink_received() == EVENTS * 10
@@ -265,9 +258,7 @@ class TestDataplaneMetrics:
         registry = MetricsRegistry()
         run_app(
             "wc",
-            backend=process_backend(
-                "wc", "shm", vectorized="on", string_dict="off"
-            ),
+            **process_settings("wc", "shm", string_dict="off"),
             registry=registry,
         )
         counters = registry.snapshot()["counters"]

@@ -19,7 +19,7 @@ import pytest
 
 from repro.apps import load_application
 from repro.dsps import LocalEngine
-from repro.runtime import OverloadConfig, ProcessPoolBackend
+from repro.runtime import OverloadConfig
 
 EVENTS = 300
 INTERVAL = 100
@@ -56,10 +56,9 @@ def run_app(app, *, backend="inline", overload=None, events=EVENTS, **kwargs):
     return engine.run(events)
 
 
-def process_backend(app, overload=None):
-    return ProcessPoolBackend(
-        n_workers=2, ordered=(app == "lr"), overload=overload
-    )
+def process_settings(app):
+    """Engine settings for a 2-worker process run of ``app``."""
+    return dict(backend="process", n_workers=2, ordered=app == "lr")
 
 
 def sink_multiset(result):
@@ -105,8 +104,8 @@ class TestShedOffIsInvisible:
 
     @pytest.mark.parametrize("app", APPS)
     def test_process_bit_identical(self, app):
-        reference = run_app(app, backend=process_backend(app))
-        candidate = run_app(app, backend=process_backend(app, OBSERVE))
+        reference = run_app(app, **process_settings(app))
+        candidate = run_app(app, overload=OBSERVE, **process_settings(app))
         assert_parity(reference, candidate)
         assert candidate.overload is not None
         assert candidate.overload.shed == 0
@@ -114,7 +113,7 @@ class TestShedOffIsInvisible:
     @pytest.mark.parametrize("app", APPS)
     def test_observed_process_matches_inline(self, app):
         inline = run_app(app, overload=OBSERVE)
-        process = run_app(app, backend=process_backend(app, OBSERVE))
+        process = run_app(app, overload=OBSERVE, **process_settings(app))
         assert_parity(inline, process)
 
 

@@ -23,7 +23,7 @@ from repro.core.plan import collocated_plan
 from repro.dsps import LocalEngine
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
-from repro.runtime import InlineBackend, ProcessPoolBackend, resolve_backend
+from repro.runtime import InlineBackend, ProcessPoolBackend, RunConfig, make_backend
 
 EVENTS = 300
 
@@ -64,29 +64,28 @@ def assert_parity(reference, candidate):
 
 class TestBackendResolution:
     def test_names(self):
-        assert isinstance(resolve_backend("inline"), InlineBackend)
-        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
-
-    def test_instance_passthrough(self):
-        backend = InlineBackend()
-        assert resolve_backend(backend) is backend
+        assert isinstance(make_backend(RunConfig()), InlineBackend)
+        assert isinstance(
+            make_backend(RunConfig(backend="process")), ProcessPoolBackend
+        )
 
     def test_unknown_name(self):
         with pytest.raises(ExecutionError, match="unknown backend 'threads'"):
-            resolve_backend("threads")
+            RunConfig(backend="threads")
 
     def test_unknown_name_lists_valid_backends(self):
         with pytest.raises(ExecutionError, match="inline"):
-            resolve_backend("gpu")
+            RunConfig(backend="gpu")
 
     def test_bad_worker_count(self):
+        topology, _ = load_application("wc")
         with pytest.raises(ExecutionError):
-            ProcessPoolBackend(n_workers=0)
+            LocalEngine(topology, backend="process", n_workers=0)
 
     @pytest.mark.parametrize("n", [0, -1, -100])
     def test_resolve_rejects_bad_worker_count(self, n):
         with pytest.raises(ExecutionError, match="n_workers must be >= 1"):
-            resolve_backend("process", n_workers=n)
+            RunConfig(backend="process", n_workers=n)
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_engine_rejects_bad_queue_capacity(self, capacity):
@@ -170,7 +169,8 @@ class TestProcessParity:
         candidate = run_app(
             "wc",
             replication=replication,
-            backend=ProcessPoolBackend(n_workers=2),
+            backend="process",
+            n_workers=2,
         )
         assert_parity(reference, candidate)
 
@@ -180,7 +180,8 @@ class TestProcessParity:
         candidate = run_app(
             "fd",
             replication=replication,
-            backend=ProcessPoolBackend(n_workers=2),
+            backend="process",
+            n_workers=2,
         )
         assert_parity(reference, candidate)
         assert sum(
@@ -199,7 +200,8 @@ class TestProcessParity:
         candidate = run_app(
             "sd",
             replication=replication,
-            backend=ProcessPoolBackend(n_workers=2),
+            backend="process",
+            n_workers=2,
         )
         assert_parity(reference, candidate)
         assert sum(
@@ -212,13 +214,15 @@ class TestProcessParity:
         candidate = run_app(
             "lr",
             replication=replication,
-            backend=ProcessPoolBackend(n_workers=2, ordered=True),
+            backend="process",
+            n_workers=2,
+            ordered=True,
         )
         assert_parity(reference, candidate)
 
     def test_single_worker_degenerates_cleanly(self):
         reference = run_app("wc")
-        candidate = run_app("wc", backend=ProcessPoolBackend(n_workers=1))
+        candidate = run_app("wc", backend="process", n_workers=1)
         assert_parity(reference, candidate)
 
     def test_bounded_process_run_reports_runtime_metrics(self):
@@ -228,7 +232,8 @@ class TestProcessParity:
             topology,
             queue_budget=256,
             registry=registry,
-            backend=ProcessPoolBackend(n_workers=2),
+            backend="process",
+            n_workers=2,
         )
         result = engine.run(EVENTS)
         assert result.sink_received() == EVENTS * 10

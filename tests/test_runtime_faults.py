@@ -33,12 +33,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.hardware import server_a
-from repro.runtime import (
-    DegradeContext,
-    FaultInjector,
-    FaultPlan,
-    ProcessPoolBackend,
-)
+from repro.runtime import DegradeContext, FaultInjector, FaultPlan
 
 EVENTS = 300
 #: REPRO_CHAOS_QUICK=1 (CI's chaos-smoke job) trims the app matrix to WC;
@@ -302,12 +297,12 @@ class TestProcessBackendChaos:
         # The crash fault os._exit()s a live worker mid-run: the parent
         # watchdog must convert the death into a typed error (previously
         # this scenario hung on a blocking results.get / queue put).
-        backend = ProcessPoolBackend(
-            n_workers=2, timeout_s=60.0, heartbeat_timeout_s=5.0
-        )
         engine = build_engine(
             "wc",
-            backend=backend,
+            backend="process",
+            n_workers=2,
+            timeout_s=60.0,
+            heartbeat_timeout_s=5.0,
             fault_plan=FaultPlan(seed=3, kinds=("crash",), at_tuple=AT),
             recovery_policy="fail-fast",
         )
@@ -317,12 +312,12 @@ class TestProcessBackendChaos:
         assert excinfo.value.recovery is not None
 
     def test_killed_worker_recovers_under_retry(self, baselines):
-        backend = ProcessPoolBackend(
-            n_workers=2, timeout_s=60.0, heartbeat_timeout_s=5.0
-        )
         engine = build_engine(
             "wc",
-            backend=backend,
+            backend="process",
+            n_workers=2,
+            timeout_s=60.0,
+            heartbeat_timeout_s=5.0,
             fault_plan=FaultPlan(seed=3, kinds=("crash",), at_tuple=AT),
             recovery_policy="retry",
         )
@@ -345,15 +340,13 @@ class TestProcessBackendChaos:
         if not shm_dir.is_dir():
             pytest.skip("no /dev/shm to observe")
         before = {p.name for p in shm_dir.glob(f"{SHM_NAME_PREFIX}*")}
-        backend = ProcessPoolBackend(
+        engine = build_engine(
+            "wc",
+            backend="process",
             n_workers=2,
             timeout_s=60.0,
             heartbeat_timeout_s=5.0,
             dataplane="shm",
-        )
-        engine = build_engine(
-            "wc",
-            backend=backend,
             fault_plan=FaultPlan(seed=3, kinds=("crash",), at_tuple=AT),
             recovery_policy="retry",
         )
@@ -366,12 +359,12 @@ class TestProcessBackendChaos:
         assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
     def test_stalled_worker_trips_heartbeat_watchdog(self):
-        backend = ProcessPoolBackend(
-            n_workers=2, timeout_s=60.0, heartbeat_timeout_s=1.0
-        )
         engine = build_engine(
             "wc",
-            backend=backend,
+            backend="process",
+            n_workers=2,
+            timeout_s=60.0,
+            heartbeat_timeout_s=1.0,
             fault_plan=FaultPlan(seed=5, kinds=("stall",), at_tuple=AT),
             recovery_policy="fail-fast",
         )

@@ -25,7 +25,6 @@ from repro.runtime import (
     AdaptiveBatchController,
     FaultPlan,
     FusionConfig,
-    ProcessPoolBackend,
     apply_edge_batches,
     as_fusion_config,
     chain_map,
@@ -54,18 +53,7 @@ def build_engine(app, *, fuse=None, backend="inline", vectorized="off", **kwargs
     topology.component("sink").template.keep_samples = 10**6
     replication = {name: 1 for name in topology.components}
     if backend == "process":
-        # Instance backends pass through resolve_backend untouched, so
-        # the adaptive config must land on the instance itself (the CLI
-        # watchdog path does the same).
-        backend = ProcessPoolBackend(
-            n_workers=2,
-            ordered=(app == "lr"),
-            vectorized=vectorized,
-            batching=(
-                AdaptiveBatchConfig() if kwargs.get("adaptive_batch") else None
-            ),
-        )
-        vectorized = None
+        kwargs.update(n_workers=2, ordered=app == "lr")
     return LocalEngine(
         topology,
         replication=replication,
@@ -377,7 +365,7 @@ class TestFusionParity:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize(
         "vectorized",
-        ["off", "on"],
+        ["off", "auto"],
     )
     def test_fused_matches_unfused_baseline(
         self, baselines, app, backend, vectorized

@@ -32,6 +32,7 @@ from repro.dsps.topology import TopologyBuilder
 from repro.dsps.tuples import DEFAULT_STREAM, JumboTuple, StreamTuple
 from repro.metrics.registry import NULL_REGISTRY
 from repro.runtime.backends import _InlineRun
+from repro.runtime.config import RunConfig
 from repro.runtime.dataplane.columns import ColumnBatch, DictColumn, column_runs
 from repro.runtime.lowering import apply_edge_batches
 from repro.runtime.taskcore import TaskCore
@@ -44,7 +45,7 @@ def make_run(topology=None, replication=None):
     if topology is None:
         topology, _ = load_application("wc")
     spec = LocalEngine(topology, replication=replication).spec
-    return _InlineRun(spec, 100, NULL_REGISTRY), spec
+    return _InlineRun(spec, 100, NULL_REGISTRY, RunConfig()), spec
 
 
 def make_core(replication=None):

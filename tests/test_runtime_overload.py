@@ -27,7 +27,6 @@ from repro.runtime import (
     OverloadConfig,
     OverloadDetector,
     OverloadManager,
-    ProcessPoolBackend,
     SendRetryPolicy,
     Shedder,
     TokenBucket,
@@ -93,18 +92,23 @@ class TestConfigValidation:
             LocalEngine(topology, overload=True)
 
     def test_backends_require_epochs_at_execute(self):
-        """Constructing a backend with overload but executing without
-        barriers (bypassing the engine facade) still fails loudly."""
-        from repro.runtime import InlineBackend
+        """Overload control cannot be armed without barriers, and a
+        backend executed directly (bypassing the engine facade) runs the
+        barriers its config names."""
+        from repro.runtime import InlineBackend, ProcessPoolBackend, RunConfig
 
+        with pytest.raises(ExecutionError, match="epoch"):
+            RunConfig(overload=OverloadConfig())
         topology, _ = load_application("wc")
         engine = LocalEngine(topology)  # only borrowing its lowered spec
+        armed = dict(overload=OverloadConfig(), epoch_interval=100)
         for backend in (
-            InlineBackend(overload=OverloadConfig()),
-            ProcessPoolBackend(n_workers=2, overload=OverloadConfig()),
+            InlineBackend(RunConfig(**armed)),
+            ProcessPoolBackend(RunConfig(backend="process", n_workers=2, **armed)),
         ):
-            with pytest.raises(ExecutionError, match="epoch"):
-                backend.execute(engine.spec, 200)
+            result = backend.execute(engine.spec, 200)
+            assert result.epochs.interval == 100
+            assert result.overload is not None
 
 
 class TestShedScore:
@@ -532,11 +536,10 @@ class TestChaosLadder:
                 "counter": 2,
                 "sink": 1,
             },
-            backend=ProcessPoolBackend(
-                n_workers=2,
-                overload=OverloadConfig(
-                    max_lag_ms=60_000.0, shed_mode="random", shed_rate=0.5
-                ),
+            backend="process",
+            n_workers=2,
+            overload=OverloadConfig(
+                max_lag_ms=60_000.0, shed_mode="random", shed_rate=0.5
             ),
             queue_capacity=32,
             batch_size=16,

@@ -38,7 +38,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.metrics import MetricsRegistry
-from repro.runtime import ProcessPoolBackend, shm_available
+from repro.runtime import RunConfig, shm_available
 from repro.runtime.dataplane.columns import ColumnBatch, DictColumn
 from repro.runtime.lowering import apply_edge_batches
 from repro.runtime.process_pool import _STATUS_RUNNING, _Worker
@@ -85,7 +85,7 @@ class TestConstructorValidation:
         "kwargs",
         [
             {"n_workers": 0},
-            {"inbox_batches": 0},
+            {"n_workers": -1},
             {"timeout_s": 0},
             {"timeout_s": -5.0},
             {"heartbeat_timeout_s": 0},
@@ -94,7 +94,7 @@ class TestConstructorValidation:
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ExecutionError):
-            ProcessPoolBackend(**kwargs)
+            RunConfig(backend="process", **kwargs)
 
 
 class TestAdmission:
@@ -421,9 +421,10 @@ def test_wc_fanout_on_shm_never_falls_back_to_pickle():
         topology,
         replication=replication,
         registry=registry,
-        backend=ProcessPoolBackend(
-            n_workers=2, dataplane="shm", vectorized="on", string_dict="on"
-        ),
+        backend="process",
+        n_workers=2,
+        dataplane="shm",
+        string_dict="on",
     ).run(400)
     reference = LocalEngine(
         load_application("wc")[0], replication=replication, vectorized="off"

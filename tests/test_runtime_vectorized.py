@@ -1,7 +1,7 @@
 """Vectorized execution tests: kernel/scalar parity and fallback rules.
 
 The columnar fast path must be invisible except for speed — every test
-here runs the same workload with ``vectorized="on"`` and ``"off"`` and
+here runs the same workload with ``vectorized="auto"`` and ``"off"`` and
 demands identical sink contents and per-task counters, then checks the
 ``runtime.vectorized.*`` accounting for the documented fallback triggers
 (non-columnar schemas, armed fault injection, ``off`` mode).
@@ -21,8 +21,7 @@ from repro.dsps.topology import TopologyBuilder
 from repro.dsps.tuples import DEFAULT_STREAM
 from repro.errors import ExecutionError
 from repro.metrics import MetricsRegistry
-from repro.runtime import FaultPlan, ProcessPoolBackend
-from repro.runtime.backends import resolve_backend
+from repro.runtime import BACKEND_NAMES, FaultPlan, RunConfig
 from repro.runtime.dataplane import VECTORIZED_MODES
 
 EVENTS = 200
@@ -73,7 +72,7 @@ def run_app(app, vectorized, backend="inline", registry=None, **engine_kw):
         topology,
         replication=REPLICATION[app],
         backend=backend,
-        vectorized=vectorized if isinstance(backend, str) else None,
+        vectorized=vectorized,
         registry=registry,
         queue_budget=4096,
         **engine_kw,
@@ -114,23 +113,15 @@ class TestParity:
     @pytest.mark.parametrize("app", ("wc", "sd", "fd", "lr"))
     def test_inline_on_off_identical(self, app):
         off = run_app(app, "off")
-        on = run_app(app, "on")
+        on = run_app(app, "auto")
         assert sink_multiset(off) == sink_multiset(on)
         assert task_counters(off) == task_counters(on)
         assert off.sink_received() == on.sink_received()
 
     @pytest.mark.parametrize("app", ("wc", "sd"))
     def test_process_on_off_identical(self, app):
-        off = run_app(
-            app,
-            None,
-            backend=ProcessPoolBackend(n_workers=2, vectorized="off"),
-        )
-        on = run_app(
-            app,
-            None,
-            backend=ProcessPoolBackend(n_workers=2, vectorized="on"),
-        )
+        off = run_app(app, "off", backend="process", n_workers=2)
+        on = run_app(app, "auto", backend="process", n_workers=2)
         assert sink_multiset(off) == sink_multiset(on)
         assert task_counters(off) == task_counters(on)
 
@@ -138,12 +129,7 @@ class TestParity:
 class TestCounters:
     def test_process_backend_vectorizes_and_publishes(self):
         registry = MetricsRegistry()
-        run_app(
-            "wc",
-            None,
-            backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
-            registry=registry,
-        )
+        run_app("wc", "auto", backend="process", n_workers=2, registry=registry)
         counters = vectorized_counters(registry)
         assert counters["batches"] > 0
         assert counters["tuples"] > 0
@@ -151,12 +137,7 @@ class TestCounters:
 
     def test_off_mode_counts_nothing(self):
         registry = MetricsRegistry()
-        run_app(
-            "wc",
-            None,
-            backend=ProcessPoolBackend(n_workers=2, vectorized="off"),
-            registry=registry,
-        )
+        run_app("wc", "off", backend="process", n_workers=2, registry=registry)
         assert all(v == 0 for v in vectorized_counters(registry).values())
 
     def test_inline_instrumented_runs_keep_kernels(self):
@@ -225,7 +206,9 @@ class TestFallbacks:
         engine = LocalEngine(
             _build_dict_topology(),
             replication={"spout": 1, "op": 1, "sink": 1},
-            backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
+            backend="process",
+            n_workers=2,
+            vectorized="auto",
             registry=registry,
             queue_budget=4096,
         )
@@ -242,8 +225,9 @@ class TestFallbacks:
         registry = MetricsRegistry()
         result = run_app(
             "wc",
-            None,
-            backend=ProcessPoolBackend(n_workers=2, vectorized="auto"),
+            "auto",
+            backend="process",
+            n_workers=2,
             registry=registry,
             fault_plan=FaultPlan(seed=5, kinds=("drop",), n_faults=1),
             recovery_policy="retry",
@@ -257,18 +241,16 @@ class TestFallbacks:
 class TestModeValidation:
     def test_resolve_backend_rejects_unknown_mode(self):
         with pytest.raises(ExecutionError):
-            resolve_backend("inline", vectorized="turbo")
+            RunConfig(vectorized="turbo")
 
     def test_backends_reject_unknown_mode(self):
-        from repro.runtime.backends import InlineBackend
+        topology = BUILDERS["wc"]()
+        for backend in BACKEND_NAMES:
+            with pytest.raises(ExecutionError):
+                LocalEngine(topology, backend=backend, vectorized="turbo")
 
-        with pytest.raises(ExecutionError):
-            InlineBackend(vectorized="turbo")
-        with pytest.raises(ExecutionError):
-            ProcessPoolBackend(vectorized="turbo")
-
-    def test_modes_are_documented_triple(self):
-        assert VECTORIZED_MODES == ("auto", "on", "off")
+    def test_modes_are_documented(self):
+        assert VECTORIZED_MODES == ("auto", "off")
 
     def test_cli_accepts_vectorized_flag(self, capsys):
         from repro.cli import main
